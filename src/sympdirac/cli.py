@@ -16,34 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .verify import Verifier
-
-SUITE_ORDER: Tuple[str, ...] = (
-    "algebra_relations",
-    "classical_fischer",
-    "table_ker",
-    "l_fischer",
-    "symplectic_fischer_k1",
-    "kernel_families",
-    "branching_table",
-    "multiplicity",
-    "dim_identity",
-    "s0_branching",
-)
-
-# which range argument each suite consumes
-_RANGE_ARG: Dict[str, str] = {
-    "algebra_relations": "",
-    "classical_fischer": "a_max",
-    "table_ker": "a_max",
-    "l_fischer": "a_max",
-    "symplectic_fischer_k1": "a_max",
-    "kernel_families": "a_max",
-    "branching_table": "t_max",
-    "multiplicity": "t_max",
-    "dim_identity": "a_max",
-    "s0_branching": "d_max",
-}
+from .verify import SUITES, Verifier
 
 
 def run_suite(name: str, m: int, a_max: int, t_max: int,
@@ -51,16 +24,7 @@ def run_suite(name: str, m: int, a_max: int, t_max: int,
     """Execute one suite and return its check rows as dicts."""
     if ver is None:
         ver = Verifier(m)
-    kind = _RANGE_ARG[name]
-    method = getattr(ver, name)
-    if kind == "":
-        rows = method()
-    elif kind == "a_max":
-        rows = method(a_max)
-    elif kind == "t_max":
-        rows = method(t_max)
-    else:
-        rows = method(a_max + 2)
+    rows = getattr(ver, name)(*SUITES[name](a_max, t_max))
     return [r.as_dict() for r in rows]
 
 
@@ -76,7 +40,7 @@ def build_report(m: int, a_max: int, t_max: int, suites: Sequence[str],
     suite_blocks: List[Dict[str, object]] = []
     if jobs > 1 and len(suites) > 1:
         tasks = [(name, m, a_max, t_max) for name in suites]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(suites))) as pool:
             results = list(pool.map(_worker, tasks))
     else:
         ver = Verifier(m)
@@ -203,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest harmonic degree for degree-indexed suites")
     parser.add_argument("--t-max", type=int, default=4, dest="t_max",
                         help="largest level for level-indexed suites")
-    parser.add_argument("--suite", action="append", choices=SUITE_ORDER,
+    parser.add_argument("--suite", action="append", choices=SUITES,
                         metavar="NAME",
                         help="suite to run (repeatable; default all); one of: "
-                             + ", ".join(SUITE_ORDER))
+                             + ", ".join(SUITES))
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
     parser.add_argument("--out", default=None,
@@ -227,9 +191,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("t-max must be >= 0")
     if args.jobs < 1:
         parser.error("jobs must be >= 1")
-    suites = args.suite if args.suite else list(SUITE_ORDER)
-    # preserve canonical order, drop duplicates
-    ordered = [s for s in SUITE_ORDER if s in suites]
+    # canonical order, no duplicates
+    ordered = [s for s in SUITES if not args.suite or s in args.suite]
     report = build_report(args.m, args.a_max, args.t_max, ordered, jobs=args.jobs)
     text = render_json(report) if args.format == "json" else render_text(report)
     if args.out:

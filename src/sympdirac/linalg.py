@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .rationals import QQ
-from .polys import Block, monomial_poly, render_poly, poly_from_coeffs
+from .polys import Block, add_scaled, monomial_poly, render_poly
 
 Row = Dict[int, QQ]  # sparse vector / matrix row
 IntRow = Dict[int, int]
@@ -70,16 +70,11 @@ def _to_int_row(row: Row) -> IntRow:
     return out
 
 
-def _combine(row: IntRow, lead: int, piv: IntRow, piv_lead: int, col: int) -> IntRow:
-    """piv_lead * row - lead * piv, gcd-stripped; entry at col cancels."""
+def _combine(row: IntRow, lead: int, piv: IntRow, piv_lead: int) -> IntRow:
+    """piv_lead * row - lead * piv, gcd-stripped; the shared leading column
+    (lead and piv_lead are its entries) cancels."""
     out = {c: piv_lead * v for c, v in row.items()}
-    for c, v in piv.items():
-        w = out.get(c, 0) - lead * v
-        if w:
-            out[c] = w
-        elif c in out:
-            del out[c]
-    out.pop(col, None)
+    add_scaled(out, piv, -lead)
     if not out:
         return out
     g = 0
@@ -108,7 +103,7 @@ def _echelon(int_rows: List[IntRow], col_key) -> List[Tuple[int, IntRow]]:
         piv_lead = piv[col]
         pivots.append((col, piv))
         for row in rows[1:]:
-            new = _combine(row, row[col], piv, piv_lead, col)
+            new = _combine(row, row[col], piv, piv_lead)
             if new:
                 lead = min(new, key=col_key)
                 buckets.setdefault(lead, []).append(new)
@@ -126,15 +121,7 @@ def _rref_rows(int_rows: List[IntRow]) -> Tuple[List[int], List[Row]]:
         for pcol, prow in reduced:
             f = qrow.get(pcol)
             if f is not None:
-                del qrow[pcol]
-                for c, v in prow.items():
-                    if c == pcol:
-                        continue
-                    w = qrow.get(c, 0) - f * v
-                    if w:
-                        qrow[c] = w
-                    elif c in qrow:
-                        del qrow[c]
+                add_scaled(qrow, prow, -f)
         reduced.insert(0, (col, qrow))
     cols = [col for col, _ in reduced]
     rows = [row for _, row in reduced]
@@ -173,10 +160,6 @@ class Subspace:
         return cls(ambient, pivots, rows)
 
     @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, [], [])
-
-    @classmethod
     def full(cls, ambient: int) -> "Subspace":
         return cls(ambient, list(range(ambient)), [{i: QQ(1)} for i in range(ambient)])
 
@@ -190,12 +173,7 @@ class Subspace:
         for pcol, prow in zip(self.pivots, self.rows):
             f = v.get(pcol)
             if f:
-                for c, w in prow.items():
-                    r = v.get(c, 0) - f * w
-                    if r:
-                        v[c] = r
-                    elif c in v:
-                        del v[c]
+                add_scaled(v, prow, -f)
         return v
 
     def contains(self, vec: Row) -> bool:
@@ -220,12 +198,6 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient:
-        raise AmbientMismatch(f"ambient {a.ambient} vs {b.ambient}")
-    return Subspace.from_vectors(a.ambient, a.rows + b.rows)
-
-
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked coefficient matrix: a
     vector sum alpha_i a_i with sum alpha_i a_i - sum beta_j b_j = 0."""
@@ -242,14 +214,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     for combo in combos.rows:
         vec: Row = {}
         for i, f in combo.items():
-            if i >= a.dim:
-                continue
-            for c, v in a.rows[i].items():
-                w = vec.get(c, 0) + f * v
-                if w:
-                    vec[c] = w
-                elif c in vec:
-                    del vec[c]
+            if i < a.dim:
+                add_scaled(vec, a.rows[i], f)
         vectors.append(vec)
     return Subspace.from_vectors(a.ambient, vectors)
 
@@ -293,14 +259,8 @@ class RationalMatrix:
     def mul_vec(self, vec: Row) -> Row:
         out: Row = {}
         for c, f in vec.items():
-            if not f:
-                continue
-            for r, v in self.columns[c].items():
-                w = out.get(r, 0) + f * v
-                if w:
-                    out[r] = w
-                elif r in out:
-                    del out[r]
+            if f:
+                add_scaled(out, self.columns[c], f)
         return out
 
     def rank(self) -> int:
@@ -479,7 +439,4 @@ def poly_to_vec(p, block: Block) -> Row:
 
 
 def vec_to_poly(vec: Row, block: Block):
-    coeffs = [QQ(0)] * block.dim
-    for i, v in vec.items():
-        coeffs[i] = v
-    return poly_from_coeffs(block, coeffs)
+    return {block.basis[i]: v for i, v in sorted(vec.items())}

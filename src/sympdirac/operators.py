@@ -10,16 +10,16 @@ transvector generators) are stored with the scalar pre-shifted to input
 form, so application stays single-pass.
 
 Composition is lazy: term lists are concatenated and scalars get degree
-shifts; identities between operators are checked extensionally on blocks,
-never by symbolic normal form.
+shifts. Identities between operators are certified symbolically by the
+Weyl-algebra normal form at the end of this module, for operators without
+Euler denominators, and spot-checked extensionally on low-degree blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .rationals import QQ
 from .polys import (
@@ -30,7 +30,6 @@ from .polys import (
     VarBlock,
     monomial_m,
     poly_add_term,
-    tri_degree_components,
     tri_degree_of,
     x_,
     y_,
@@ -171,8 +170,8 @@ def _apply_term_to_monomial(term: OperatorTerm, mono: Monomial, m: int):
 
 def apply_op(op: LinearOperator, p: Poly) -> Poly:
     """Exact image of p. Scalars are evaluated lazily: a term that
-    annihilates a monomial never evaluates its scalar, which is what lets
-    auto-truncated projector series stop exactly at the nilpotency order."""
+    annihilates a monomial never evaluates its scalar, so Pi_L is defined
+    on blocks where its Euler denominator vanishes but L already kills."""
     out: Poly = {}
     for term in op.terms:
         scalar_cache: Dict[TriDegree, object] = {}
@@ -236,10 +235,6 @@ def operators_equal_on(a: LinearOperator, b: LinearOperator, blk) -> bool:
         if apply_op(a, p) != apply_op(b, p):
             return False
     return True
-
-
-def zero_op(label: str = "0") -> LinearOperator:
-    return LinearOperator(label, ())
 
 
 def identity_op(label: str = "Id") -> LinearOperator:
@@ -418,9 +413,6 @@ def catalog(m: int) -> Dict[str, LinearOperator]:
         raise ValueError(f"m must be >= 6 (stable range), got {m}")
     cat: Dict[str, LinearOperator] = {}
     cat["Id"] = identity_op()
-    cat["E_x"] = euler_op("E_x", (1, 0, 0, 0))
-    cat["E_y"] = euler_op("E_y", (0, 1, 0, 0))
-    cat["E_z"] = euler_op("E_z", (0, 0, 1, 0))
     cat["E"] = euler_op("E", (1, 1, 0, 0))
     cat["E_script"] = euler_op("E_script", script_E_form(m))
     cat["D_s"] = dirac_down(m)
@@ -468,13 +460,6 @@ def catalog(m: int) -> Dict[str, LinearOperator]:
 
     cat["S_xz"] = LinearOperator("S_xz", _transvector_S(m, x_, 0))
     cat["S_yz"] = LinearOperator("S_yz", _transvector_S(m, y_, 1))
-    szx_terms = inner_mul_der(z_, x_, m)
-    szx_scal = EulerScalar(-1, (), ((0, 0, 2, m - 2),))
-    for j in range(1, m + 1):
-        for k in range(1, m + 1):
-            szx_terms.append(_single(szx_scal, der_(x_(k)), der_(z_(k)), mul_(z_(j)), mul_(z_(j))))
-    cat["S_zx"] = LinearOperator("S_zx", szx_terms)
-    cat["A_xz"] = LinearOperator("A_xz", inner_der_der(x_, z_, m))
     cat["C_xz"] = LinearOperator("C_xz", _transvector_C(m, x_, 0))
     cat["C_yz"] = LinearOperator("C_yz", _transvector_C(m, y_, 1))
 
@@ -483,73 +468,6 @@ def catalog(m: int) -> Dict[str, LinearOperator]:
     cat["Pi_L"] = op_add(identity_op(), proj_term, label="Pi_L").relabel("Pi_L")
 
     return cat
-
-
-# ---------------------------------------------------------------------------
-# the general extremal projector, auto-truncated per block
-
-
-def nilpotency_order(m: int, tri_degrees: Sequence[TriDegree]) -> int:
-    """Smallest j such that L^j is identically zero on the span of the given
-    tri-degrees, bounded through the reachable-degree chain (L either moves
-    a y to an x or removes two z's; when no valid target tri-degree is left
-    the power is zero)."""
-    current = {TriDegree(*d) for d in tri_degrees}
-    order = 0
-    while current:
-        nxt = set()
-        for d in current:
-            if d.ky >= 1:
-                nxt.add(TriDegree(d.kx + 1, d.ky - 1, d.kz))
-            if d.kz >= 2:
-                nxt.add(TriDegree(d.kx, d.ky, d.kz - 2))
-        current = nxt
-        order += 1
-    return order
-
-
-def extremal_projector_apply(cat: Dict[str, LinearOperator], p: Poly) -> Poly:
-    """Apply the full extremal projector of the (R, L, E_script) pair,
-    truncated at the nilpotency order of each tri-homogeneous component.
-
-    The series is 1 + sum_{j>=1} R^j L^j / (j! (Es-2)(Es-3)...(Es-j-1))
-    with Es the script-E eigenvalue of the component; the truncation order
-    is computed from the degree chain before any scalar is formed, so no
-    singular denominator is ever touched.
-    """
-    m = None
-    for mono in p:
-        m = monomial_m(mono)
-        break
-    if m is None:
-        return {}
-    op_L = cat["L"]
-    op_R = cat["R"]
-    es_form = script_E_form(m)
-    out: Poly = dict(p)
-    for d, comp in tri_degree_components(p).items():
-        order = nilpotency_order(m, [d])
-        powers = []
-        cur = comp
-        for _ in range(order - 1):
-            cur = apply_op(op_L, cur)
-            if not cur:
-                break
-            powers.append(cur)
-        es = _eval_form(es_form, d)
-        denom = QQ(1)
-        for j, lj in enumerate(powers, start=1):
-            dv = es - 1 - j
-            if dv == 0:
-                raise SingularEulerDenominator("Pi", d)
-            denom = denom * dv
-            lifted = lj
-            for _ in range(j):
-                lifted = apply_op(op_R, lifted)
-            coeff = QQ(1) / (factorial(j) * denom)
-            for mono, c in lifted.items():
-                poly_add_term(out, mono, c * coeff)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +535,7 @@ def normal_form(op: LinearOperator, m: int) -> NormalForm:
             if viol < 0:
                 ders = tuple(sorted((a.var for a in w if a.kind is ActionKind.DeriveVar), key=_var_key))
                 muls = tuple(sorted((a.var for a in w if a.kind is ActionKind.MultiplyVar), key=_var_key))
-                key = (ders, muls)
-                v = out.get(key, QQ(0)) + c
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                poly_add_term(out, (ders, muls), c)
             else:
                 i = viol
                 swapped = w[:i] + [w[i + 1], w[i]] + w[i + 2:]

@@ -174,14 +174,6 @@ class Block:
 # polynomial arithmetic
 
 
-def poly_zero() -> Poly:
-    return {}
-
-
-def poly_is_zero(p: Poly) -> bool:
-    return not p
-
-
 def monomial_poly(mono: Monomial, coeff=1) -> Poly:
     c = QQ(coeff)
     return {mono: c} if c else {}
@@ -201,17 +193,27 @@ def poly_add_term(p: Poly, mono: Monomial, coeff) -> None:
             del p[mono]
 
 
+def add_scaled(dst: Dict, src: Dict, f=1) -> None:
+    """In-place dst += f * src on sparse dicts (polynomials, or vectors
+    keyed by coordinate), dropping the entries that cancel."""
+    get = dst.get
+    for key, v in src.items():
+        w = get(key, 0) + f * v
+        if w:
+            dst[key] = w
+        elif key in dst:
+            del dst[key]
+
+
 def poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
-    for mono, c in q.items():
-        poly_add_term(out, mono, c)
+    add_scaled(out, q)
     return out
 
 
 def poly_sub(p: Poly, q: Poly) -> Poly:
     out = dict(p)
-    for mono, c in q.items():
-        poly_add_term(out, mono, -c)
+    add_scaled(out, q, -1)
     return out
 
 
@@ -309,27 +311,6 @@ def render_poly(p: Poly) -> str:
         else:
             pieces.append(f"- {text}" if neg else f"+ {text}")
     return " ".join(pieces)
-
-
-def poly_from_coeffs(block: Block, coeffs: Iterable) -> Poly:
-    """Inverse of coefficient extraction over a block's basis."""
-    out: Poly = {}
-    for mono, c in zip(block.basis, coeffs):
-        if c:
-            out[mono] = QQ(c)
-    return out
-
-
-def coeffs_of(p: Poly, block: Block) -> List:
-    """Coefficient vector of p over the block basis; raises if p has
-    support outside the block."""
-    vec = [QQ(0)] * block.dim
-    for mono, c in p.items():
-        pos = block.index.get(mono)
-        if pos is None:
-            raise ValueError(f"monomial {render_monomial(mono)} outside block {block}")
-        vec[pos] = c
-    return vec
 
 
 def random_poly(rng, m: int, max_degree: int, terms: int) -> Poly:

@@ -14,9 +14,6 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
 
-ZERO = QQ(0)
-ONE = QQ(1)
-
 
 def qq_str(q) -> str:
     """Canonical text for a rational: '3', '-3', '3/2'."""

@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
+from typing import Dict, List, Optional, Tuple
 
 from .rationals import QQ, qq_str
 from .polys import (
     Block,
     Poly,
     TriDegree,
+    add_scaled,
     monomial_sort_key,
     poly_scale,
     render_poly,
@@ -34,7 +36,7 @@ from .polys import (
     z_,
     _compositions,
 )
-from .linalg import RationalMatrix, Subspace, matrix_of, stack_matrices
+from .linalg import RationalMatrix, Subspace, matrix_of, stack_matrices, vec_to_poly
 from .operators import LinearOperator, apply_op, inner_der_der, inner_mul_der
 
 
@@ -99,15 +101,6 @@ class BranchingLine:
     def verma_at(self, m: int, a: int) -> VermaLabel:
         return VermaLabel(QQ(m, 2) + a + self.verma_offset)
 
-    def json_row(self) -> Dict[str, object]:
-        c = self.verma_offset
-        verma = "m/2+a" if c == 0 else (f"m/2+a+{c}" if c > 0 else f"m/2+a-{-c}")
-        return {
-            "weight": ["a", self.second],
-            "verma": verma,
-            "range": f"a>={self.min_a}",
-        }
-
 
 # the five lines of the branching table for the degree-one monogenics,
 # in display order
@@ -118,10 +111,6 @@ BRANCHING_TABLE: Tuple[BranchingLine, ...] = (
     BranchingLine(second=1, verma_offset=1, min_a=1),
     BranchingLine(second=0, verma_offset=2, min_a=0),
 )
-
-
-def branching_table_rows() -> List[Dict[str, object]]:
-    return [line.json_row() for line in BRANCHING_TABLE]
 
 
 def components_at_level(t: int) -> List[Tuple[BranchingLine, int, HighestWeightSO]]:
@@ -294,42 +283,21 @@ def simplicial_harmonics(m: int, k: int, l: int, first: str = "z", second: str =
 
 
 # ---------------------------------------------------------------------------
-# tensor product decomposition (stable range)
-
-def klimyk_decompose(m: int, a: int, b: int) -> Tuple[Tuple[HighestWeightSO, ...], int]:
-    """(a) x (b) as a sum of two-row weights: candidates (a-i+j, b-i-j)
-    over 0 <= i <= b, 0 <= j <= b-i; non-dominant candidates are dropped
-    and counted. Multiplicity-free in the stable range m >= 6.
-    """
-    if m < 6:
-        raise ValueError(f"stable range needs m >= 6, got {m}")
-    if a < 0 or b < 0:
-        raise NonDominantWeight(f"({a}), ({b}) must both be dominant")
-    kept: List[HighestWeightSO] = []
-    dropped = 0
-    for i in range(b + 1):
-        for j in range(b - i + 1):
-            l1, l2 = a - i + j, b - i - j
-            if l1 >= l2 >= 0:
-                kept.append(HighestWeightSO(l1, l2))
-            else:
-                dropped += 1
-    kept.sort(key=lambda w: (-w.l1, -w.l2))
-    return tuple(kept), dropped
-
-
-# ---------------------------------------------------------------------------
 # Casimir certification
 
-_CASIMIR_MATRICES: Dict[Tuple[int, Tuple[TriDegree, ...]], RationalMatrix] = {}
+# Casimir operator -> {(m, tri-degrees of the block): matrix}. Keyed by the
+# operator object, so a catalog with a different Casimir never reads
+# another catalog's matrices; entries go when their operator does.
+_CASIMIR_MATRICES: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def casimir_matrix(cat: Dict[str, LinearOperator], block: Block) -> RationalMatrix:
-    key = (block.m, tuple(block.tri_degrees))
-    mat = _CASIMIR_MATRICES.get(key)
+    op = cat["Casimir"]
+    by_block = _CASIMIR_MATRICES.setdefault(op, {})
+    key = (block.m, block.tri_degrees)
+    mat = by_block.get(key)
     if mat is None:
-        mat = matrix_of(cat["Casimir"], block, block)
-        _CASIMIR_MATRICES[key] = mat
+        mat = by_block[key] = matrix_of(op, block, block)
     return mat
 
 
@@ -349,17 +317,9 @@ def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspa
     expected = casimir_scalar(block.m, w)
     mat = casimir_matrix(cat, block)
     for row in sub.rows:
-        out = mat.mul_vec(row)
-        residual = dict(out)
-        for c, v in row.items():
-            r = residual.get(c, 0) - expected * v
-            if r:
-                residual[c] = r
-            elif c in residual:
-                del residual[c]
+        residual = mat.mul_vec(row)
+        add_scaled(residual, row, -expected)
         if residual:
-            from .linalg import vec_to_poly
-
             return CasimirCheck(False, expected, vec_to_poly(row, block))
     return CasimirCheck(True, expected)
 

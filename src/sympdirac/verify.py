@@ -16,13 +16,14 @@ byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rationals import QQ, qq_str
 from .polys import (
     Block,
     Poly,
     TriDegree,
+    add_scaled,
     monomial_poly,
     poly_mul,
     poly_scale,
@@ -234,12 +235,7 @@ class Verifier:
                         c1, c2 = combo.get(0, QQ(0)), combo.get(1, QQ(0))
                         ratios.add((qq_str(c1), qq_str(c2)))
                         merged = poly_scale(v1, c1)
-                        for mono, cv in poly_scale(v2, c2).items():
-                            w = merged.get(mono, QQ(0)) + cv
-                            if w:
-                                merged[mono] = w
-                            elif mono in merged:
-                                del merged[mono]
+                        add_scaled(merged, v2, c2)
                         kernel_combos.append(poly_to_vec(merged, eb.block))
                     else:
                         ratios.add(("degenerate", str(null.dim)))
@@ -423,10 +419,10 @@ class Verifier:
             j += 1
         return parts
 
-    def l_fischer(self, a_max: int, ks: Sequence[int] = (0, 1)) -> List[CheckResult]:
+    def l_fischer(self, a_max: int) -> List[CheckResult]:
         m = self.m
         rows: List[CheckResult] = []
-        for k in ks:
+        for k in (0, 1):
             for idx in range(a_max + 1):
                 t = idx if k == 0 else idx - 1
                 eb = self.eigenblock(k, t)
@@ -660,30 +656,17 @@ class Verifier:
         return rows
 
 
-# ---------------------------------------------------------------------------
-# convenience entry points, one per named suite
-
-def verify_table_ker(m: int, a_max: int, cat=None) -> List[CheckResult]:
-    return Verifier(m, cat).table_ker(a_max)
-
-
-def verify_L_fischer(m: int, k: int, a_max: int, cat=None) -> List[CheckResult]:
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
-    return Verifier(m, cat).l_fischer(a_max, ks=(k,))
-
-
-def verify_symplectic_fischer_k1(m: int, a_max: int, cat=None) -> List[CheckResult]:
-    return Verifier(m, cat).symplectic_fischer_k1(a_max)
-
-
-def verify_kernel_families(m: int, a: int, cat=None) -> List[CheckResult]:
-    return Verifier(m, cat).kernel_families_at(a)
-
-
-def verify_branching_table(m: int, t_max: int, cat=None) -> List[CheckResult]:
-    return Verifier(m, cat).branching_table(t_max)
-
-
-def verify_multiplicity_lemma(m: int, a_max: int, cat=None) -> List[CheckResult]:
-    return Verifier(m, cat).multiplicity(a_max)
+# The suites in canonical report order, each with the range arguments it
+# takes as a function of the report's (a_max, t_max).
+SUITES: Dict[str, Callable[[int, int], Tuple[int, ...]]] = {
+    "algebra_relations": lambda a_max, t_max: (),
+    "classical_fischer": lambda a_max, t_max: (a_max,),
+    "table_ker": lambda a_max, t_max: (a_max,),
+    "l_fischer": lambda a_max, t_max: (a_max,),
+    "symplectic_fischer_k1": lambda a_max, t_max: (a_max,),
+    "kernel_families": lambda a_max, t_max: (a_max,),
+    "branching_table": lambda a_max, t_max: (t_max,),
+    "multiplicity": lambda a_max, t_max: (t_max,),
+    "dim_identity": lambda a_max, t_max: (a_max,),
+    "s0_branching": lambda a_max, t_max: (a_max + 2,),
+}

@@ -1,8 +1,10 @@
 """End to end checks of the report command line."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 BASE = [sys.executable, "-m", "sympdirac.cli"]
 
@@ -95,3 +97,42 @@ def test_suite_order_is_canonical():
     rep = json.loads(r.stdout)
     # canonical ordering, not flag order
     assert [s["name"] for s in rep["suites"]] == ["table_ker", "multiplicity"]
+
+
+def test_jobs_capped_at_suite_count(monkeypatch):
+    from sympdirac import cli
+    from sympdirac.verify import SUITES
+
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, runs nothing."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [(task[0], 0.0, []) for task in tasks]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cli.build_report(6, 4, 4, list(SUITES), jobs=5000)
+    cli.build_report(6, 4, 4, list(SUITES), jobs=2)
+    cli.build_report(6, 4, 4, ["table_ker", "multiplicity"], jobs=3)
+    assert started == [len(SUITES), 2, 2]
+
+
+def test_benchmark_tracer_binds_every_name(tmp_path):
+    # the benchmark wraps named functions of the package; set-up fails if
+    # one of them is gone
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    r = subprocess.run([sys.executable, "perfbench/rep.py", "--setup-only", "--trace", "1",
+                        "--out", str(tmp_path / "s.json")],
+                       cwd=root, env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

@@ -9,7 +9,6 @@ from sympdirac.linalg import (
     is_direct_sum,
     rank_certified,
     subspace_intersect,
-    subspace_sum,
 )
 from sympdirac.rationals import QQ
 
@@ -76,7 +75,7 @@ def test_dimension_formula_sum_intersection():
         vb = [{c: QQ(rng.randint(-3, 3)) for c in rng.sample(range(n), rng.randint(1, n))} for _ in range(rng.randint(1, 6))]
         a = Subspace.from_vectors(n, va)
         b = Subspace.from_vectors(n, vb)
-        s = subspace_sum(a, b)
+        s = Subspace.from_vectors(n, a.rows + b.rows)
         i = subspace_intersect(a, b)
         assert s.dim + i.dim == a.dim + b.dim
         for vec in i.rows:
@@ -91,7 +90,7 @@ def test_membership_and_ambient_guard():
     assert not a.contains({3: QQ(1)})
     b = Subspace.from_vectors(5, [{0: QQ(1)}])
     with pytest.raises(AmbientMismatch):
-        subspace_sum(a, b)
+        subspace_intersect(a, b)
     with pytest.raises(AmbientMismatch):
         a == b
 

@@ -10,13 +10,11 @@ from sympdirac.polys import (
     VariableId,
     VarBlock,
     basis_size,
-    coeffs_of,
     differentiate,
     monomial_basis,
     monomial_sort_key,
     multiply_by,
     poly_add,
-    poly_from_coeffs,
     poly_sub,
     random_poly,
     render_poly,
@@ -26,6 +24,7 @@ from sympdirac.polys import (
     y_,
     z_,
 )
+from sympdirac.linalg import ImageOutsideCodomain, poly_to_vec, vec_to_poly
 from sympdirac.rationals import QQ
 
 
@@ -149,12 +148,13 @@ def test_block_requires_stable_range():
 def test_coefficient_roundtrip():
     blk = Block(6, [TriDegree(1, 0, 1)])
     rng = random.Random(3)
-    vec = [QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(blk.dim)]
-    p = poly_from_coeffs(blk, vec)
-    assert coeffs_of(p, blk) == vec
+    vec = {i: QQ(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(blk.dim)}
+    vec = {i: c for i, c in vec.items() if c}
+    p = vec_to_poly(vec, blk)
+    assert poly_to_vec(p, blk) == vec
     outside = multiply_by(p, x_(1))
-    with pytest.raises(ValueError):
-        coeffs_of(outside, blk)
+    with pytest.raises(ImageOutsideCodomain):
+        poly_to_vec(outside, blk)
 
 
 def test_tri_degrees_of_total():

@@ -13,7 +13,6 @@ from sympdirac.repn import (
     NonDominantWeight,
     NotLowestWeight,
     VermaLabel,
-    branching_table_rows,
     casimir_eigencheck,
     casimir_scalar,
     components_at_level,
@@ -22,7 +21,6 @@ from sympdirac.repn import (
     harmonic_polys,
     harmonic_polys_embedded,
     harmonic_space,
-    klimyk_decompose,
     simplicial_harmonics,
     verma_action_check,
     weyl_dim_so,
@@ -121,28 +119,6 @@ def test_simplicial_two_two_matches_weyl():
     assert space.dim == 84
 
 
-def test_klimyk_times_vector_rep():
-    comps, dropped = klimyk_decompose(6, 3, 1)
-    assert comps == (
-        HighestWeightSO(4, 0),
-        HighestWeightSO(3, 1),
-        HighestWeightSO(2, 0),
-    )
-    assert dropped == 0
-    comps, dropped = klimyk_decompose(6, 0, 1)
-    assert comps == (HighestWeightSO(1, 0),)
-    assert dropped == 2
-
-
-def test_klimyk_dimension_identity():
-    for m in (6, 7):
-        for a in range(6):
-            for b in range(min(a, 2) + 1):
-                comps, _ = klimyk_decompose(m, a, b)
-                total = sum(dim_weight(m, w) for w in comps)
-                assert total == harmonic_dim(m, a) * harmonic_dim(m, b), (m, a, b)
-
-
 def test_casimir_scalar_values():
     assert casimir_scalar(6, HighestWeightSO(1)) == 5
     assert casimir_scalar(6, HighestWeightSO(2)) == 12
@@ -206,11 +182,8 @@ def test_verma_rejects_non_lowest(cat):
 
 
 def test_branching_table_shape():
-    rows = branching_table_rows()
-    assert len(rows) == 5
-    assert rows[0] == {"weight": ["a", 0], "verma": "m/2+a-2", "range": "a>=1"}
-    assert rows[4] == {"weight": ["a", 0], "verma": "m/2+a+2", "range": "a>=0"}
     assert [line.verma_offset for line in BRANCHING_TABLE] == [-2, -1, 0, 1, 2]
+    assert [(line.second, line.min_a) for line in BRANCHING_TABLE] == [(0, 1), (1, 1), (0, 1), (1, 1), (0, 0)]
 
 
 def test_components_at_level():

@@ -9,16 +9,13 @@ from sympdirac.operators import (
     commutator,
     normal_form,
     normal_form_op,
+    op_scale,
     operators_equal_on,
 )
 from sympdirac.polys import Block, TriDegree, poly_scale, poly_sub
 from sympdirac.rationals import QQ
 from sympdirac.repn import harmonic_dim, harmonic_polys_embedded
-from sympdirac.verify import (
-    Verifier,
-    verify_kernel_families,
-    verify_table_ker,
-)
+from sympdirac.verify import Verifier
 
 M = 6
 
@@ -125,11 +122,6 @@ def test_rows_deterministic_across_instances():
     assert flat1 == flat2
 
 
-def test_module_level_wrappers():
-    _assert_all_pass(verify_table_ker(M, 1))
-    _assert_all_pass(verify_kernel_families(M, 1))
-
-
 def test_normal_form_matches_operator_extensionally():
     cat = catalog(M)
     com = commutator(cat["sl_c_X"], cat["sl_c_Y"])
@@ -161,18 +153,6 @@ def test_operators_shift_levels_as_predicted(ver, op, dk, dt):
                 assert tri_degree_of(omono) in allowed
 
 
-def test_verify_L_fischer_filters_by_k():
-    from sympdirac.verify import verify_L_fischer
-
-    rows0 = verify_L_fischer(M, 0, 2)
-    rows1 = verify_L_fischer(M, 1, 2)
-    assert all(r.params["k"] == 0 for r in rows0)
-    assert all(r.params["k"] == 1 for r in rows1)
-    assert all(r.passed for r in rows0 + rows1)
-    with pytest.raises(ValueError):
-        verify_L_fischer(M, 2, 2)
-
-
 def test_mutated_catalog_does_not_leak_cache():
     clean = Verifier(M)
     assert all(r.passed for r in clean.table_ker(1))
@@ -182,3 +162,14 @@ def test_mutated_catalog_does_not_leak_cache():
     assert any(not r.passed for r in dirty.kernel_families(1))
     clean2 = Verifier(M)
     assert all(r.passed for r in clean2.table_ker(1))
+
+
+def test_mutated_casimir_does_not_leak_cache():
+    # Casimir matrices are cached per block; a catalog with another Casimir
+    # must build its own instead of reading the clean catalog's
+    assert all(r.passed for r in Verifier(M).branching_table(0))
+    cat = dict(catalog(M))
+    cat["Casimir"] = op_scale(cat["Casimir"], 2)
+    rows = [r for r in Verifier(M, cat=cat).branching_table(0) if r.name == "component_casimir"]
+    assert len(rows) == 3
+    assert all(not r.passed and r.witness for r in rows)
