@@ -18,6 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .verify import SUITES, Verifier
 
+# Largest --a-max and --t-max accepted. Exact work grows steeply with the
+# ranges: at a_max = t_max = 5, the most the tests and the benchmark use,
+# eigenblocks already reach dimension 3,528. Larger values are refused so
+# that a typo cannot start a run that does not end.
+RANGE_MAX = 8
+
 
 def run_suite(name: str, m: int, a_max: int, t_max: int,
               ver: Optional[Verifier] = None) -> List[Dict[str, object]]:
@@ -164,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--m", type=int, default=6,
                         help="number of base variables per series (default 6)")
     parser.add_argument("--a-max", type=int, default=4, dest="a_max",
-                        help="largest harmonic degree for degree-indexed suites")
+                        help=f"largest harmonic degree for degree-indexed suites (at most {RANGE_MAX})")
     parser.add_argument("--t-max", type=int, default=4, dest="t_max",
-                        help="largest level for level-indexed suites")
+                        help=f"largest level for level-indexed suites (at most {RANGE_MAX})")
     parser.add_argument("--suite", action="append", choices=SUITES,
                         metavar="NAME",
                         help="suite to run (repeatable; default all); one of: "
@@ -185,10 +191,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.m < 6:
         parser.error("m must be >= 6 (stable range)")
-    if args.a_max < 0:
-        parser.error("a-max must be >= 0")
-    if args.t_max < 0:
-        parser.error("t-max must be >= 0")
+    if not 0 <= args.a_max <= RANGE_MAX:
+        parser.error(f"a-max must be between 0 and {RANGE_MAX}")
+    if not 0 <= args.t_max <= RANGE_MAX:
+        parser.error(f"t-max must be between 0 and {RANGE_MAX}")
     if args.jobs < 1:
         parser.error("jobs must be >= 1")
     # canonical order, no duplicates

@@ -28,6 +28,7 @@ import numpy as np
 
 from .rationals import QQ
 from .polys import Block, add_scaled, monomial_poly, render_poly
+from .operators import monomial_image
 
 Row = Dict[int, QQ]  # sparse vector / matrix row
 IntRow = Dict[int, int]
@@ -317,23 +318,21 @@ def stack_matrices(mats: Sequence[RationalMatrix]) -> RationalMatrix:
 
 
 def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
-    """Matrix of a linear operator between two graded blocks.
+    """Matrix of a linear operator between two graded blocks; column j is
+    the compiled operator run on the j-th basis monomial of the domain.
 
     Any image component outside the codomain raises ImageOutsideCodomain;
     nothing is silently dropped.
     """
-    from .operators import apply_op
-
     columns: List[Row] = []
     for mono in domain.basis:
-        image = apply_op(op, monomial_poly(mono))
+        image = monomial_image(op, mono)
         col: Row = {}
         for out_mono, coeff in image.items():
             pos = codomain.index.get(out_mono)
             if pos is None:
-                label = getattr(op, "label", repr(op))
                 raise ImageOutsideCodomain(
-                    f"{label} maps {render_poly(monomial_poly(mono))} to a term "
+                    f"{op.label} maps {render_poly(monomial_poly(mono))} to a term "
                     f"{render_poly(monomial_poly(out_mono, coeff))} outside codomain {codomain}"
                 )
             col[pos] = coeff

@@ -13,13 +13,27 @@ Composition is lazy: term lists are concatenated and scalars get degree
 shifts. Identities between operators are certified symbolically by the
 Weyl-algebra normal form at the end of this module, for operators without
 Euler denominators, and spot-checked extensionally on low-degree blocks.
+
+Application runs a compiled form of the operator, built on first use for
+each m and stored on the operator, keyed by m and by the `terms` tuple it
+was built from (reassigning `terms` recompiles). Each distinct action word
+becomes a tuple of (exponent index, is_derivative) pairs, plus the least
+exponent each differentiated index needs for the word not to annihilate.
+Terms with the identical word are merged, and only those, so this is no
+normal ordering. Constant scalars are folded into one rational at compile
+time. Euler scalars are evaluated only when the word hits a monomial, once
+per input tri-degree, and the value is cached on the word; a vanishing
+denominator raises SingularEulerDenominator on every such call and is
+never cached. The compiled path and the normal form share no helper, so
+the extensional and symbolic certificates stay independent checks of each
+other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .rationals import QQ
 from .polys import (
@@ -28,7 +42,7 @@ from .polys import (
     TriDegree,
     VariableId,
     VarBlock,
-    monomial_m,
+    add_scaled,
     poly_add_term,
     tri_degree_of,
     x_,
@@ -139,10 +153,22 @@ class OperatorTerm:
         return tuple(s)
 
 
+# One compiled word: (actions as (exponent index, is_derivative) pairs,
+# the least exponent each differentiated index needs for the word not to
+# annihilate, the folded constant scalar, the Euler-dependent scalars, and
+# their summed value per input tri-degree, None when there are none).
+Word = Tuple[Tuple[int, bool], ...]
+CompiledWord = Tuple[Word, Tuple[Tuple[int, int], ...], object, Tuple[EulerScalar, ...],
+                     Optional[Dict[TriDegree, object]]]
+CompiledWords = Tuple[CompiledWord, ...]
+
+
 class LinearOperator:
     def __init__(self, label: str, terms: Iterable[OperatorTerm]):
         self.label = label
         self.terms: Tuple[OperatorTerm, ...] = tuple(terms)
+        # (the terms tuple compiled, {m: compiled words}), see _compiled_words
+        self._compiled: Optional[Tuple[Tuple[OperatorTerm, ...], Dict[int, CompiledWords]]] = None
 
     def relabel(self, label: str) -> "LinearOperator":
         return LinearOperator(label, self.terms)
@@ -151,42 +177,116 @@ class LinearOperator:
         return f"LinearOperator({self.label!r}, {len(self.terms)} terms)"
 
 
-def _apply_term_to_monomial(term: OperatorTerm, mono: Monomial, m: int):
-    """Returns (output monomial, integer factor) or None if annihilated."""
-    exps = list(mono)
-    factor = 1
-    for act in term.actions:
-        i = act.var.flat(m)
-        if act.kind is ActionKind.DeriveVar:
-            e = exps[i]
-            if e == 0:
-                return None
-            factor *= e
-            exps[i] = e - 1
+def _compile(terms: Tuple[OperatorTerm, ...], m: int) -> CompiledWords:
+    """Merge the terms whose action words are identical (and only those)
+    and fold their constant scalars into one rational. A word whose
+    scalars cancel to the constant 0 is dropped."""
+    merged: Dict[Word, list] = {}
+    shared: Dict[Tuple[int, bool], Tuple[int, bool]] = {}  # one object per action pair
+    for term in terms:
+        pairs = []
+        for act in term.actions:
+            pair = (act.var.flat(m), act.kind is ActionKind.DeriveVar)
+            pairs.append(shared.setdefault(pair, pair))
+        word = tuple(pairs)
+        entry = merged.get(word)
+        if entry is None:
+            entry = merged[word] = [QQ(0), []]
+        s = term.scalar
+        if s.num or s.den:
+            entry[1].append(s)
         else:
-            exps[i] += 1
-    return tuple(exps), factor
+            entry[0] += QQ(s.coeff)
+    return tuple((word, _least_exponents(word), const, tuple(eulers), {} if eulers else None)
+                 for word, (const, eulers) in merged.items() if const or eulers)
+
+
+def _least_exponents(word: Word) -> Tuple[Tuple[int, int], ...]:
+    """(index, e) pairs such that the word annihilates a monomial exactly
+    when some exponent at index is below e. Before each derivative of
+    index i the exponent there is its input value plus the net count of
+    earlier actions on i, and the word annihilates at the first
+    derivative that meets a zero."""
+    net: Dict[int, int] = {}
+    least: Dict[int, int] = {}
+    for i, der in word:
+        k = net.get(i, 0)
+        if der:
+            least[i] = max(least.get(i, 0), 1 - k)
+        net[i] = k - 1 if der else k + 1
+    return tuple(least.items())
+
+
+def _compiled_words(op: LinearOperator, m: int) -> CompiledWords:
+    """The compiled form of op at m, rebuilt whenever op.terms is no longer
+    the tuple it was compiled from."""
+    cache = op._compiled
+    if cache is None or cache[0] is not op.terms:
+        cache = op._compiled = (op.terms, {})
+    words = cache[1].get(m)
+    if words is None:
+        words = cache[1][m] = _compile(op.terms, m)
+    return words
+
+
+def monomial_image(op: LinearOperator, mono: Monomial) -> Poly:
+    """Exact image of a single monomial with coefficient 1.
+
+    A word runs on a list of exponents, unless its least exponents show
+    that it annihilates the monomial; then its scalar is not evaluated, so
+    Pi_L is defined on blocks where its Euler denominator vanishes but L
+    already kills. Euler scalars are evaluated on the input tri-degree
+    and cached per word, and never cached when a denominator vanishes."""
+    d = tri_degree_of(mono)  # raises ValueError unless len(mono) == 3m
+    out: Poly = {}
+    for word, least, const, eulers, by_degree in _compiled_words(op, len(mono) // 3):
+        if eulers:
+            s = by_degree.get(d)
+            if s is not None and not s:
+                continue
+        for i, e in least:
+            if mono[i] < e:
+                break
+        else:
+            exps = list(mono)
+            factor = 1
+            for i, der in word:
+                e = exps[i]
+                if der:
+                    factor *= e
+                    exps[i] = e - 1
+                else:
+                    exps[i] = e + 1
+            if eulers:
+                if s is None:
+                    s = const
+                    for scalar in eulers:
+                        s = s + scalar.evaluate(d, op.label)
+                    by_degree[d] = s
+                if not s:
+                    continue
+            else:
+                s = const
+            key = tuple(exps)
+            v = s if factor == 1 else factor * s
+            if key in out:
+                v += out[key]
+                if not v:
+                    del out[key]
+                    continue
+            out[key] = v
+    return out
 
 
 def apply_op(op: LinearOperator, p: Poly) -> Poly:
-    """Exact image of p. Scalars are evaluated lazily: a term that
-    annihilates a monomial never evaluates its scalar, so Pi_L is defined
-    on blocks where its Euler denominator vanishes but L already kills."""
+    """Exact image of p, one monomial at a time (see monomial_image)."""
     out: Poly = {}
-    for term in op.terms:
-        scalar_cache: Dict[TriDegree, object] = {}
-        for mono, c in p.items():
-            hit = _apply_term_to_monomial(term, mono, monomial_m(mono))
-            if hit is None:
-                continue
-            new_mono, factor = hit
-            d = tri_degree_of(mono)
-            s = scalar_cache.get(d)
-            if s is None:
-                s = term.scalar.evaluate(d, op.label)
-                scalar_cache[d] = s
-            if s:
-                poly_add_term(out, new_mono, c * factor * s)
+    for mono, c in p.items():
+        image = monomial_image(op, mono)
+        if c == 1 and not out:  # the usual single monomial needs no scaling
+            out = image
+        else:
+            add_scaled(out, image, c)
     return out
 
 
@@ -226,15 +326,6 @@ def compose(a: LinearOperator, b: LinearOperator, label: str = "") -> LinearOper
 
 def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     return op_sub(compose(a, b), compose(b, a), label=f"[{a.label},{b.label}]")
-
-
-def operators_equal_on(a: LinearOperator, b: LinearOperator, blk) -> bool:
-    """Extensional equality on a block: same image for every basis monomial."""
-    for mono in blk.basis:
-        p = {mono: QQ(1)}
-        if apply_op(a, p) != apply_op(b, p):
-            return False
-    return True
 
 
 def identity_op(label: str = "Id") -> LinearOperator:

@@ -263,15 +263,17 @@ class Verifier:
 
         rows.append(_row("sp_generator_count", {"m": m}, 2 * m * m + m, len(sp_labels(m))))
 
+        # built once, so that each residual is compiled once for the
+        # extensional sweeps below
+        triples: List[Tuple[str, str, LinearOperator]] = []
         for name in ("sl_h", "sl_s", "sl_c", "sl_d"):
             X, Y, H = cat[f"{name}_X"], cat[f"{name}_Y"], cat[f"{name}_H"]
-            for rel, op in (
-                ("HX", op_sub(commutator(H, X), op_scale(X, 2))),
-                ("HY", op_add(commutator(H, Y), op_scale(Y, 2))),
-                ("XY", op_sub(commutator(X, Y), H)),
-            ):
-                n, wit = nf_residual(op)
-                rows.append(_row(f"triple_{name}_{rel}", {"triple": name}, 0, n, wit))
+            triples += [(name, "HX", op_sub(commutator(H, X), op_scale(X, 2))),
+                        (name, "HY", op_add(commutator(H, Y), op_scale(Y, 2))),
+                        (name, "XY", op_sub(commutator(X, Y), H))]
+        for name, rel, op in triples:
+            n, wit = nf_residual(op)
+            rows.append(_row(f"triple_{name}_{rel}", {"triple": name}, 0, n, wit))
 
         n, wit = nf_residual(op_sub(commutator(cat["R"], cat["L"]), cat["E_script"]))
         rows.append(_row("bracket_R_L_is_scriptE", {}, 0, n, wit))
@@ -301,35 +303,29 @@ class Verifier:
         for total in range(4):
             for d in tri_degrees_of_total(total):
                 blk = Block(m, [d])
-                for name in ("sl_h", "sl_s", "sl_c", "sl_d"):
-                    X, Y, H = cat[f"{name}_X"], cat[f"{name}_Y"], cat[f"{name}_H"]
-                    for op in (
-                        op_sub(commutator(H, X), op_scale(X, 2)),
-                        op_add(commutator(H, Y), op_scale(Y, 2)),
-                        op_sub(commutator(X, Y), H),
-                    ):
-                        for mono in blk.basis:
-                            res = apply_op(op, monomial_poly(mono))
-                            if res:
-                                bad += 1
-                                if wit is None:
-                                    wit = f"{name} on {render_poly(monomial_poly(mono))}: {render_poly(res)}"
+                for name, _, op in triples:
+                    for mono in blk.basis:
+                        res = apply_op(op, monomial_poly(mono))
+                        if res:
+                            bad += 1
+                            if wit is None:
+                                wit = f"{name} on {render_poly(monomial_poly(mono))}: {render_poly(res)}"
         rows.append(_row("triples_extensional_deg_le_3", {"max_degree": 3}, 0, bad, wit))
 
         bad = 0
         wit = None
         sample = sp_labels(m)[:: max(1, len(sp_labels(m)) // 20)]
+        sampled = [(lab, target, commutator(cat[lab], cat[target]))
+                   for lab in sample for target in ("D_s", "D_s_dag", "E")]
         for total in range(3):
             for d in tri_degrees_of_total(total):
                 blk = Block(m, [d])
-                for lab in sample:
-                    for target in ("D_s", "D_s_dag", "E"):
-                        op = commutator(cat[lab], cat[target])
-                        for mono in blk.basis:
-                            if apply_op(op, monomial_poly(mono)):
-                                bad += 1
-                                if wit is None:
-                                    wit = f"[{lab}, {target}] on {render_poly(monomial_poly(mono))}"
+                for lab, target, op in sampled:
+                    for mono in blk.basis:
+                        if apply_op(op, monomial_poly(mono)):
+                            bad += 1
+                            if wit is None:
+                                wit = f"[{lab}, {target}] on {render_poly(monomial_poly(mono))}"
         rows.append(_row("sp_extensional_deg_le_2", {"sampled_generators": len(sample)}, 0, bad, wit))
         return rows
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BASE = [sys.executable, "-m", "sympdirac.cli"]
 
 
@@ -31,6 +33,20 @@ def test_small_m_rejected():
     r = run_cli("--m", "5")
     assert r.returncode == 2
     assert "stable range" in r.stderr
+
+
+def test_ranges_above_limit_rejected(monkeypatch, capsys):
+    from sympdirac import cli
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("a report was started")
+
+    monkeypatch.setattr(cli, "build_report", no_report)
+    for flag in ("--a-max", "--t-max"):
+        with pytest.raises(SystemExit) as exc:
+            cli.run([flag, str(cli.RANGE_MAX + 1)])
+        assert exc.value.code == 2
+        assert f"{flag[2:]} must be between 0 and {cli.RANGE_MAX}" in capsys.readouterr().err
 
 
 def test_unknown_suite_rejected():

@@ -17,7 +17,6 @@ from sympdirac.operators import (
     der_,
     identity_op,
     mul_,
-    operators_equal_on,
     op_scale,
     op_sub,
     sp_labels,
@@ -25,6 +24,8 @@ from sympdirac.operators import (
 from sympdirac.polys import (
     Block,
     TriDegree,
+    add_scaled,
+    differentiate,
     monomial_basis,
     multiply_by,
     poly_mul,
@@ -32,6 +33,7 @@ from sympdirac.polys import (
     poly_sub,
     random_poly,
     render_poly,
+    tri_degree_of,
     x_,
     y_,
     z_,
@@ -44,6 +46,11 @@ M = 6
 @pytest.fixture(scope="module")
 def cat():
     return catalog(M)
+
+
+def same_on(a, b, blk):
+    """a and b agree on every basis monomial of blk."""
+    return all(apply_op(a, {b_mono: QQ(1)}) == apply_op(b, {b_mono: QQ(1)}) for b_mono in blk.basis)
 
 
 def mono(**powers):
@@ -92,12 +99,12 @@ def test_lowering_kills_x_times_harmonic(cat):
 def test_bracket_of_R_and_L_is_script_E(cat):
     # measured orientation: [R, L] = E_script, so [L, R] acts as -E_script
     blk = Block(M, [TriDegree(1, 0, 2)])
-    assert operators_equal_on(commutator(cat["R"], cat["L"]), cat["E_script"], blk)
-    assert operators_equal_on(
+    assert same_on(commutator(cat["R"], cat["L"]), cat["E_script"], blk)
+    assert same_on(
         commutator(cat["L"], cat["R"]), op_scale(cat["E_script"], -1), blk
     )
     mixed = Block(M, [TriDegree(1, 1, 1), TriDegree(0, 0, 3)])
-    assert operators_equal_on(commutator(cat["R"], cat["L"]), cat["E_script"], mixed)
+    assert same_on(commutator(cat["R"], cat["L"]), cat["E_script"], mixed)
 
 
 def test_dirac_bracket_matches_sl_c_cartan(cat):
@@ -107,8 +114,8 @@ def test_dirac_bracket_matches_sl_c_cartan(cat):
     target = euler_op("minus_E_minus_m", (-1, -1, 0, -M))
     for degs in ([(0, 0, 1)], [(1, 0, 1), (0, 1, 0)], [(1, 1, 0), (2, 0, 2)]):
         blk = Block(M, [TriDegree(*d) for d in degs])
-        assert operators_equal_on(commutator(cat["D_s"], cat["D_s_dag"]), target, blk)
-        assert operators_equal_on(
+        assert same_on(commutator(cat["D_s"], cat["D_s_dag"]), target, blk)
+        assert same_on(
             commutator(cat["sl_c_X"], cat["sl_c_Y"]), cat["sl_c_H"], blk
         )
 
@@ -117,9 +124,9 @@ def test_dirac_bracket_matches_sl_c_cartan(cat):
 def test_sl2_triples_on_small_blocks(cat, name):
     X, Y, H = cat[f"{name}_X"], cat[f"{name}_Y"], cat[f"{name}_H"]
     blk = Block(M, [TriDegree(1, 0, 2), TriDegree(0, 1, 0), TriDegree(1, 1, 1)])
-    assert operators_equal_on(commutator(H, X), op_scale(X, 2), blk)
-    assert operators_equal_on(commutator(H, Y), op_scale(Y, -2), blk)
-    assert operators_equal_on(commutator(X, Y), H, blk)
+    assert same_on(commutator(H, X), op_scale(X, 2), blk)
+    assert same_on(commutator(H, Y), op_scale(Y, -2), blk)
+    assert same_on(commutator(X, Y), H, blk)
 
 
 def test_sp_generator_count(cat):
@@ -135,7 +142,7 @@ def test_sp_generators_commute_with_dirac_sample(cat):
     zero = LinearOperator("0", ())
     for lab in ["X_1_2", "X_3_3", "Y_1_1", "Y_2_5", "Z_1_1", "Z_4_6"]:
         for target in ["D_s", "D_s_dag", "E"]:
-            assert operators_equal_on(commutator(cat[lab], cat[target]), zero, blk)
+            assert same_on(commutator(cat[lab], cat[target]), zero, blk)
 
 
 def test_rotations_commute_with_pair_generators(cat):
@@ -143,7 +150,7 @@ def test_rotations_commute_with_pair_generators(cat):
     zero = LinearOperator("0", ())
     for rot in ["L_1_2", "L_2_3", "L_5_6"]:
         for target in ["L", "R", "E_script", "D_s", "D_s_dag"]:
-            assert operators_equal_on(commutator(cat[rot], cat[target]), zero, blk)
+            assert same_on(commutator(cat[rot], cat[target]), zero, blk)
 
 
 def test_pair_generators_commute_with_dirac(cat):
@@ -151,7 +158,7 @@ def test_pair_generators_commute_with_dirac(cat):
     zero = LinearOperator("0", ())
     for a in ["R", "L"]:
         for b in ["D_s", "D_s_dag"]:
-            assert operators_equal_on(commutator(cat[a], cat[b]), zero, blk)
+            assert same_on(commutator(cat[a], cat[b]), zero, blk)
 
 
 def test_casimir_brute_force_eigenvalues(cat):
@@ -240,7 +247,7 @@ def test_degree_shift_and_script_E_preservation(cat):
     blk = Block(M, [TriDegree(1, 0, 1), TriDegree(0, 1, 2)])
     zero = LinearOperator("0", ())
     for op_name in ["D_s", "D_s_dag"]:
-        assert operators_equal_on(commutator(cat["E_script"], cat[op_name]), zero, blk)
+        assert same_on(commutator(cat["E_script"], cat[op_name]), zero, blk)
     # D_s on (1,0,1): every image term sits in (0,0,0) + nothing else
     img = apply_op(cat["D_s"], {mono(x1=1, z1=1): QQ(1)})
     assert img == {mono(): QQ(-1)}
@@ -276,3 +283,105 @@ def test_matrix_of_rejects_escaping_images(cat):
     dom = Block(M, [TriDegree(0, 0, 2)])
     with pytest.raises(ImageOutsideCodomain):
         matrix_of(cat["D_s_dag"], dom, dom)
+
+
+# ---------------------------------------------------------------------------
+# the compiled operator path against an independent word-by-word reference
+
+
+def reference_apply(op, p):
+    """Image of p term by term and action by action through the polynomial
+    calculus, with each hitting term's scalar evaluated on the input
+    tri-degree; shares nothing with apply_op."""
+    out = {}
+    for term in op.terms:
+        for base, c in p.items():
+            q = {base: c}
+            for act in term.actions:
+                step = differentiate if act.kind is ActionKind.DeriveVar else multiply_by
+                q = step(q, act.var)
+            if q:
+                add_scaled(out, q, term.scalar.evaluate(tri_degree_of(base), op.label))
+    return out
+
+
+def assert_matches_reference(op, p):
+    try:
+        want = reference_apply(op, p)
+    except SingularEulerDenominator:
+        with pytest.raises(SingularEulerDenominator):
+            apply_op(op, p)
+        return False
+    assert apply_op(op, p) == want, op.label
+    return True
+
+
+def test_compiled_apply_matches_reference_on_catalog(cat):
+    rng = random.Random(20)
+    defined = singular = 0
+    for op in cat.values():
+        for _ in range(3):
+            p = random_poly(rng, M, max_degree=3, terms=4)
+            if assert_matches_reference(op, p):
+                defined += 1
+            else:
+                singular += 1
+    assert defined and singular  # both outcomes were exercised
+
+
+def test_compiled_apply_matches_reference_at_m7():
+    cat7 = catalog(7)
+    rng = random.Random(21)
+    for name in ("D_s", "D_s_dag", "L", "R", "Pi_L", "S_yz", "C_xz", "Casimir"):
+        for _ in range(3):
+            assert_matches_reference(cat7[name], random_poly(rng, 7, max_degree=3, terms=4))
+
+
+def test_compiled_form_follows_reassigned_terms():
+    op = LinearOperator("op", [OperatorTerm(EulerScalar(1), (mul_(x_(1)),))])
+    p = {mono(z1=1): QQ(1)}
+    assert apply_op(op, p) == {mono(x1=1, z1=1): QQ(1)}
+    op.terms = (OperatorTerm(EulerScalar(3), (der_(z_(1)), mul_(y_(2)))),)
+    assert apply_op(op, p) == {mono(y2=1): QQ(3)}
+
+
+def test_compiled_form_is_per_m():
+    # (E_z + 1) z2 d/dx1 sends x1 to z2, whose flat position depends on m
+    op = LinearOperator("op", [OperatorTerm(EulerScalar(1, ((0, 0, 1, 1),)),
+                                            (der_(x_(1)), mul_(z_(2))))])
+
+    def x1_image(m):
+        src = tuple(1 if i == 0 else 0 for i in range(3 * m))
+        dst = tuple(1 if i == 2 * m + 1 else 0 for i in range(3 * m))
+        return {src: QQ(1)}, {dst: QQ(1)}
+
+    for m in (6, 7, 6):
+        p, want = x1_image(m)
+        assert apply_op(op, p) == want
+    # a monomial whose length is not 3m is rejected, not misindexed
+    with pytest.raises(ValueError):
+        apply_op(op, {(1,) + (0,) * 16: QQ(1)})
+
+
+def test_projector_lazy_where_denominator_vanishes(cat):
+    pi = cat["Pi_L"]
+    x1 = {mono(x1=1): QQ(1)}
+    singular = [t.scalar for t in pi.terms if t.scalar.den]
+    with pytest.raises(SingularEulerDenominator):
+        singular[0].evaluate(tri_degree_of(mono(x1=1)))
+    assert apply_op(cat["L"], x1) == {}
+    assert apply_op(pi, x1) == x1
+
+
+def test_singular_denominator_raised_on_every_call(cat):
+    s = EulerScalar(1, (), ((0, 0, 1, 0),))  # 1/E_z
+    op = LinearOperator("bad", [OperatorTerm(s, (mul_(x_(1)),))])
+    for _ in range(2):
+        with pytest.raises(SingularEulerDenominator):
+            apply_op(op, {mono(): QQ(1)})
+    # L does not kill x1^2 y1, and Pi_L's denominator vanishes there
+    hit = {mono(x1=2, y1=1): QQ(1)}
+    assert apply_op(cat["L"], hit)
+    for _ in range(2):
+        with pytest.raises(SingularEulerDenominator):
+            apply_op(cat["Pi_L"], hit)
