@@ -1,27 +1,41 @@
 """Exact linear algebra over Q on sparse data.
 
 Rows and vectors are dicts {column index: coefficient}; matrices store
-sparse columns. Elimination works on denominator-cleared integer rows
-(gcd-stripped after every combination step, so coefficients stay small),
-and results are converted back to rationals only at the end.
+sparse columns. Elimination runs on denominator-cleared integer rows in
+two phases, both through one fraction-free step (`_combine`: cross-multiply
+by the two leading entries, then strip the gcd, so coefficients stay small):
+
+- forward (`_echelon`): bucket the rows by leading column, then walk the
+  columns in order and eliminate each below its shortest row, giving one
+  integer row per pivot;
+- back (`_reduce_back`): from the last pivot to the first, clear every
+  later pivot column from each pivot row, so each row keeps only its own
+  pivot column and free columns.
+
+Rationals are formed only from the reduced rows, one division per output
+entry: RREF rows are divided by their leads, and a nullspace basis vector
+takes -row[f] / row[pivot] in each pivot column. Products with a matrix
+that only have to be tested for zero (nullspace membership, the Casimir
+certificate in repn) run on its integer form, D * M with D the common
+denominator, built once per matrix.
 
 Subspace bases are kept in reduced row echelon form, which is unique per
 subspace, so equality of subspaces is literal equality of bases. The
-nullspace routine eliminates with the column order reversed; the standard
-free-column nullspace basis of that elimination is then already the
-canonical RREF basis with respect to the original order, so no second
-reduction pass is needed.
+nullspace eliminates with the column order reversed, which makes every
+pivot column larger than the free columns of its row; the basis read off
+the reduced rows is then already the canonical RREF basis with respect to
+the original order.
 
 Large rank checks can optionally be certified modulo a big prime first:
 rank mod p is a lower bound for rank over Q, and the checks here always
 pair it with a matching upper bound (row count), so a successful
 certificate is exact, not approximate. Anything inconclusive falls back
-to rational elimination.
+to exact integer elimination.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,20 +59,21 @@ class ImageOutsideCodomain(Exception):
 # ---------------------------------------------------------------------------
 # integer row utilities
 
-def _to_int_row(row: Row) -> IntRow:
+def to_int_row(row: Row) -> IntRow:
     """Clear denominators and strip content; sign of the first entry in
-    column order is made positive for determinism."""
+    column order is made positive for determinism. Entries may be ints,
+    Fractions or mpqs: all three carry numerator and denominator."""
     if not row:
         return {}
     den = 1
     for c in row.values():
-        q = QQ(c)
-        den = den * q.denominator // gcd(den, int(q.denominator))
+        d = int(c.denominator)
+        if d != 1:
+            den = den * d // gcd(den, d)
     out = {}
     g = 0
     for col, c in row.items():
-        q = QQ(c)
-        v = int(q.numerator) * (den // int(q.denominator))
+        v = int(c.numerator) * (den // int(c.denominator))
         if v:
             out[col] = v
             g = gcd(g, v)
@@ -86,19 +101,21 @@ def _combine(row: IntRow, lead: int, piv: IntRow, piv_lead: int) -> IntRow:
     return out
 
 
-def _echelon(int_rows: List[IntRow], col_key) -> List[Tuple[int, IntRow]]:
-    """Forward elimination. col_key gives the processing order of columns
-    (identity for ordinary RREF, negation for the nullspace trick).
+def _echelon(int_rows: List[IntRow], ncols: int, reverse: bool = False) -> List[Tuple[int, IntRow]]:
+    """Forward elimination over columns 0..ncols-1 in increasing order (in
+    decreasing order with reverse, for the nullspace). Each row waits in
+    the bucket of its leading column; a combined row always leads later.
     Returns (pivot column, row) pairs in processing order."""
+    lead_of = max if reverse else min
     buckets: Dict[int, List[IntRow]] = {}
     for row in int_rows:
         if row:
-            lead = min(row, key=col_key)
-            buckets.setdefault(lead, []).append(row)
+            buckets.setdefault(lead_of(row), []).append(row)
     pivots: List[Tuple[int, IntRow]] = []
-    while buckets:
-        col = min(buckets, key=col_key)
-        rows = buckets.pop(col)
+    for col in (reversed(range(ncols)) if reverse else range(ncols)):
+        rows = buckets.pop(col, None)
+        if rows is None:
+            continue
         rows.sort(key=len)
         piv = rows[0]
         piv_lead = piv[col]
@@ -106,26 +123,33 @@ def _echelon(int_rows: List[IntRow], col_key) -> List[Tuple[int, IntRow]]:
         for row in rows[1:]:
             new = _combine(row, row[col], piv, piv_lead)
             if new:
-                lead = min(new, key=col_key)
-                buckets.setdefault(lead, []).append(new)
+                buckets.setdefault(lead_of(new), []).append(new)
     return pivots
 
 
-def _rref_rows(int_rows: List[IntRow]) -> Tuple[List[int], List[Row]]:
+def _reduce_back(pivots: List[Tuple[int, IntRow]]) -> List[Tuple[int, IntRow]]:
+    """Back elimination of _echelon's output, walked from the last pivot
+    to the first: every later pivot column is cleared from each row with
+    _combine. Each returned row holds its own pivot column and free
+    columns only; (pivot column, row) pairs stay in processing order."""
+    done: Dict[int, IntRow] = {}
+    out: List[Tuple[int, IntRow]] = []
+    for col, row in reversed(pivots):
+        for pcol in [c for c in row if c in done]:
+            prow = done[pcol]
+            row = _combine(row, row[pcol], prow, prow[pcol])
+        done[col] = row
+        out.append((col, row))
+    out.reverse()
+    return out
+
+
+def _rref_rows(int_rows: List[IntRow], ncols: int) -> Tuple[List[int], List[Row]]:
     """Canonical RREF: pivot columns strictly increasing, pivot entries 1,
     pivot columns cleared in all other rows."""
-    pivots = _echelon(int_rows, col_key=lambda c: c)
-    pivots.sort(key=lambda pr: pr[0])
-    reduced: List[Tuple[int, Row]] = []
-    for col, row in reversed(pivots):
-        qrow: Row = {c: QQ(v, row[col]) for c, v in row.items()}
-        for pcol, prow in reduced:
-            f = qrow.get(pcol)
-            if f is not None:
-                add_scaled(qrow, prow, -f)
-        reduced.insert(0, (col, qrow))
-    cols = [col for col, _ in reduced]
-    rows = [row for _, row in reduced]
+    pivots = _reduce_back(_echelon(int_rows, ncols))
+    cols = [col for col, _ in pivots]
+    rows = [{c: QQ(v, row[col]) for c, v in row.items()} for col, row in pivots]
     return cols, rows
 
 
@@ -140,7 +164,8 @@ class Subspace:
     same subspace, because the RREF basis is unique.
 
     A subspace produced as a nullspace remembers the matrix it annihilates;
-    membership tests then reduce to an exact sparse matrix-vector product.
+    membership tests then reduce to an exact sparse matrix-vector product
+    on the matrix's integer form.
     """
 
     def __init__(self, ambient: int, pivots: List[int], rows: List[Row],
@@ -149,15 +174,16 @@ class Subspace:
         self.pivots = pivots
         self.rows = rows
         self.annihilator = annihilator
+        self._row_of = {p: i for i, p in enumerate(pivots)}
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Row]) -> "Subspace":
-        int_rows = [_to_int_row(v) for v in vectors]
+        int_rows = [to_int_row(v) for v in vectors]
         for row in int_rows:
             for c in row:
                 if not 0 <= c < ambient:
                     raise AmbientMismatch(f"coordinate {c} outside ambient dimension {ambient}")
-        pivots, rows = _rref_rows(int_rows)
+        pivots, rows = _rref_rows(int_rows, ambient)
         return cls(ambient, pivots, rows)
 
     @classmethod
@@ -169,12 +195,14 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, vec: Row) -> Row:
-        """Subtract the projection onto this subspace along pivot columns."""
+        """Subtract the projection onto this subspace along pivot columns.
+        An RREF row is zero in every other pivot column, so each pivot
+        entry of vec is cleared once, by its own row."""
         v = dict(vec)
-        for pcol, prow in zip(self.pivots, self.rows):
-            f = v.get(pcol)
-            if f:
-                add_scaled(v, prow, -f)
+        for c, f in vec.items():
+            i = self._row_of.get(c)
+            if i is not None and f:
+                add_scaled(v, self.rows[i], -f)
         return v
 
     def contains(self, vec: Row) -> bool:
@@ -182,7 +210,7 @@ class Subspace:
             if not 0 <= c < self.ambient:
                 raise AmbientMismatch(f"coordinate {c} outside ambient dimension {self.ambient}")
         if self.annihilator is not None:
-            return not any(self.annihilator.mul_vec(vec).values())
+            return not self.annihilator.mul_int_vec(to_int_row(vec))
         return not self.reduce(vec)
 
     def __eq__(self, other) -> bool:
@@ -231,6 +259,7 @@ class RationalMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.columns = columns
+        self._integer_form: Optional[Tuple[int, List[IntRow]]] = None
 
     @classmethod
     def from_columns(cls, nrows: int, columns: Sequence[Row]) -> "RationalMatrix":
@@ -247,9 +276,6 @@ class RationalMatrix:
                 columns[c][r] = q
         return cls(nrows, ncols, columns)
 
-    def entry(self, r: int, c: int):
-        return self.columns[c].get(r, QQ(0))
-
     def rows_as_dicts(self) -> List[Row]:
         rows: List[Row] = [{} for _ in range(self.nrows)]
         for c, col in enumerate(self.columns):
@@ -257,41 +283,40 @@ class RationalMatrix:
                 rows[r][c] = v
         return rows
 
-    def mul_vec(self, vec: Row) -> Row:
-        out: Row = {}
-        for c, f in vec.items():
-            if f:
-                add_scaled(out, self.columns[c], f)
+    def integer_form(self) -> Tuple[int, List[IntRow]]:
+        """(D, the columns of D * M as integers), D the least common
+        denominator of the entries; built on first use, kept with the
+        matrix."""
+        if self._integer_form is None:
+            den = lcm(1, *(int(v.denominator) for col in self.columns for v in col.values()))
+            cols = [{r: int(v.numerator) * (den // int(v.denominator)) for r, v in col.items()}
+                    for col in self.columns]
+            self._integer_form = (den, cols)
+        return self._integer_form
+
+    def mul_int_vec(self, vec: IntRow, f: int = 1) -> IntRow:
+        """f * (D * M) * vec for an integer vector, D as in integer_form."""
+        cols = self.integer_form()[1]
+        out: IntRow = {}
+        for c, v in vec.items():
+            add_scaled(out, cols[c], f * v)
         return out
 
-    def rank(self) -> int:
-        int_rows = [_to_int_row(r) for r in self.rows_as_dicts() if r]
-        return len(_echelon(int_rows, col_key=lambda c: c))
-
     def nullspace(self) -> Subspace:
-        """Canonical RREF basis of {v : M v = 0}, see module docstring."""
-        int_rows = [_to_int_row(r) for r in self.rows_as_dicts() if r]
-        pivots = _echelon(int_rows, col_key=lambda c: -c)
+        """Canonical RREF basis of {v : M v = 0}, see module docstring: the
+        basis vector of free column f is 1 at f and -row[f] / row[p] at
+        the pivot p of each reduced row."""
+        int_rows = [to_int_row(r) for r in self.rows_as_dicts() if r]
+        pivots = _reduce_back(_echelon(int_rows, self.ncols, reverse=True))
         pivot_cols = {col for col, _ in pivots}
-        solve_order = sorted(pivots, key=lambda pr: pr[0])
         free_cols = [c for c in range(self.ncols) if c not in pivot_cols]
-        basis: List[Row] = []
-        for f in free_cols:
-            vec: Row = {f: QQ(1)}
-            for col, row in solve_order:
-                acc = QQ(0)
-                for c, v in row.items():
-                    if c != col:
-                        w = vec.get(c)
-                        if w:
-                            acc += v * w
-                if acc:
-                    vec[col] = -acc / row[col]
-            basis.append(vec)
-        return Subspace(self.ncols, free_cols, basis, annihilator=self)
-
-    def image(self) -> Subspace:
-        return Subspace.from_vectors(self.nrows, self.columns)
+        basis: Dict[int, Row] = {f: {f: QQ(1)} for f in free_cols}
+        for col, row in reversed(pivots):
+            lead = row[col]
+            for f, v in row.items():
+                if f != col:
+                    basis[f][col] = QQ(-v, lead)
+        return Subspace(self.ncols, free_cols, [basis[f] for f in free_cols], annihilator=self)
 
     def __repr__(self) -> str:
         nnz = sum(len(c) for c in self.columns)
@@ -383,9 +408,9 @@ def rank_certified(vectors: List[Row], ambient: int) -> int:
     Tries mod-p certificates first: rank mod p equals the row count only if
     the rational rank does too, so a full-rank certificate is exact. When
     the vectors are dependent mod p (or the dense buffer would be too big),
-    falls back to exact rational elimination.
+    falls back to exact integer elimination.
     """
-    int_rows = [_to_int_row(v) for v in vectors if v]
+    int_rows = [to_int_row(v) for v in vectors if v]
     if not int_rows:
         return 0
     if len(int_rows) * ambient <= _DENSE_LIMIT:
@@ -393,7 +418,7 @@ def rank_certified(vectors: List[Row], ambient: int) -> int:
             r = _rank_modp(int_rows, ambient, p)
             if r == len(int_rows):
                 return r
-    return len(_echelon(int_rows, col_key=lambda c: c))
+    return len(_echelon(int_rows, ambient))
 
 
 def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:

@@ -36,7 +36,7 @@ from .polys import (
     z_,
     _compositions,
 )
-from .linalg import RationalMatrix, Subspace, matrix_of, stack_matrices, vec_to_poly
+from .linalg import RationalMatrix, Subspace, matrix_of, stack_matrices, to_int_row, vec_to_poly
 from .operators import LinearOperator, apply_op, inner_der_der, inner_mul_der
 
 
@@ -313,12 +313,20 @@ class CasimirCheck:
 
 def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspace, w: HighestWeightSO) -> CasimirCheck:
     """True iff the Casimir acts on every vector of sub as the scalar of
-    weight w; on failure the first offending vector rides along."""
+    weight w; on failure the first offending vector rides along.
+
+    With D clearing the matrix's denominators (its integer form, kept
+    with the matrix and so with the Casimir operator), the scalar p/q and
+    r a vector with its denominators cleared, M r = (p/q) r is tested as
+    q (D M) r == p D r, on integers."""
     expected = casimir_scalar(block.m, w)
+    p, q = int(expected.numerator), int(expected.denominator)
     mat = casimir_matrix(cat, block)
+    den = mat.integer_form()[0]
     for row in sub.rows:
-        residual = mat.mul_vec(row)
-        add_scaled(residual, row, -expected)
+        r = to_int_row(row)
+        residual = mat.mul_int_vec(r, q)
+        add_scaled(residual, r, -p * den)
         if residual:
             return CasimirCheck(False, expected, vec_to_poly(row, block))
     return CasimirCheck(True, expected)

@@ -120,14 +120,16 @@ def _row(name: str, params: Dict[str, object], expected, actual, witness=None) -
 
 
 class Verifier:
-    """Caches eigenblocks, kernels and family constructions for one
-    operator catalog. A fresh catalog (for instance a corrupted one in a
-    mutation test) gets a fresh Verifier, so nothing stale leaks."""
+    """Caches eigenblocks, D_s and L matrices, kernels and family
+    constructions for one operator catalog. A fresh catalog (for instance
+    a corrupted one in a mutation test) gets a fresh Verifier, so nothing
+    stale leaks."""
 
     def __init__(self, m: int, cat: Optional[Dict[str, LinearOperator]] = None):
         self.m = m
         self.cat = cat if cat is not None else catalog(m)
         self._blocks: Dict[Tuple[int, int], EigenBlock] = {}
+        self._mats: Dict[Tuple[str, int, int], RationalMatrix] = {}
         self._ker: Dict[Tuple[str, int, int], Subspace] = {}
         self._lws: Dict[Tuple[int, int], Subspace] = {}
         self._families: Dict[int, Dict[str, object]] = {}
@@ -149,11 +151,19 @@ class Verifier:
             self._blocks[key] = eb
         return eb
 
+    def _op_matrix(self, name: str, k: int, t: int, k_out: int, t_out: int) -> RationalMatrix:
+        key = (name, k, t)
+        mat = self._mats.get(key)
+        if mat is None:
+            mat = self._mats[key] = matrix_of(self.cat[name], self.eigenblock(k, t).block,
+                                              self.eigenblock(k_out, t_out).block)
+        return mat
+
     def dirac_matrix(self, k: int, t: int) -> RationalMatrix:
-        return matrix_of(self.cat["D_s"], self.eigenblock(k, t).block, self.eigenblock(k - 1, t).block)
+        return self._op_matrix("D_s", k, t, k - 1, t)
 
     def lowering_matrix(self, k: int, t: int) -> RationalMatrix:
-        return matrix_of(self.cat["L"], self.eigenblock(k, t).block, self.eigenblock(k, t - 2).block)
+        return self._op_matrix("L", k, t, k, t - 2)
 
     def kernel_Ds(self, k: int, t: int) -> Subspace:
         key = ("Ds", k, t)

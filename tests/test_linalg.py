@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from sympdirac.linalg import (
     rank_certified,
     subspace_intersect,
 )
+from sympdirac.polys import add_scaled
 from sympdirac.rationals import QQ
 
 
@@ -29,10 +31,11 @@ def test_rank_nullity_on_random_matrices():
         ncols = rng.randint(1, 60)
         mat = random_matrix(rng, nrows, ncols)
         ker = mat.nullspace()
-        assert mat.rank() + ker.dim == ncols
+        assert rank_certified(mat.columns, mat.nrows) + ker.dim == ncols
         # every reported kernel vector really is one
         for vec in ker.rows:
-            assert mat.mul_vec(vec) == {}
+            assert all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+                       for row in mat.rows_as_dicts())
 
 
 def test_nullspace_basis_is_rref():
@@ -124,9 +127,126 @@ def test_is_direct_sum():
 
 def test_matrix_entry_and_image():
     mat = RationalMatrix.from_entries(3, 2, {(0, 0): QQ(1), (2, 0): QQ(1, 2), (2, 1): QQ(1)})
-    assert mat.entry(2, 0) == QQ(1, 2)
-    assert mat.entry(1, 1) == 0
-    img = mat.image()
+    assert mat.columns[0].get(2, 0) == QQ(1, 2)
+    assert mat.columns[1].get(1, 0) == 0
+    img = Subspace.from_vectors(mat.nrows, mat.columns)
     assert img.dim == 2
     assert img.contains({0: QQ(2), 2: QQ(1)})
     assert not img.contains({1: QQ(1)})
+
+
+# ---------------------------------------------------------------------------
+# a dense Fraction Gauss-Jordan reference, sharing no code with linalg
+
+def dense_rref(rows, ncols):
+    """Pivot columns and RREF rows (sparse, nonzero entries only) of the
+    span of rows, by textbook dense Gauss-Jordan over Fraction."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        lead = mat[r][c]
+        mat[r] = [v / lead for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, [{c: v for c, v in enumerate(row) if v != 0} for row in mat[:r]]
+
+
+def dense_kernel(mat):
+    """RREF of the kernel of mat: the free-column solutions of its dense
+    RREF, brought to RREF again by dense_rref."""
+    pivots, rows = dense_rref(mat.rows_as_dicts(), mat.ncols)
+    vecs = []
+    for f in (c for c in range(mat.ncols) if c not in pivots):
+        vec = {f: Fraction(1)}
+        for p, row in zip(pivots, rows):
+            if row.get(f):
+                vec[p] = -row[f]
+        vecs.append(vec)
+    return dense_rref(vecs, mat.ncols)
+
+
+def rational_matrix(rng, nrows, ncols, density):
+    """Sparse random matrix with entries n/d, |n| <= 6, d <= 5, plus the
+    awkward shapes: a zero row, a zero column, a duplicate row and a
+    scaled row, each with some probability."""
+    rows = [{c: QQ(rng.choice([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]), rng.randint(1, 5))
+             for c in range(ncols) if rng.random() < density} for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = {}
+    if ncols > 2 and rng.random() < 0.5:
+        dead = rng.randrange(ncols)
+        rows = [{c: v for c, v in row.items() if c != dead} for row in rows]
+    if nrows > 3 and rng.random() < 0.5:
+        rows[0] = dict(rows[1])
+        rows[2] = {c: v * QQ(-7, 3) for c, v in rows[3].items()}
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    return RationalMatrix.from_entries(nrows, ncols, entries)
+
+
+def test_elimination_matches_dense_reference():
+    rng = random.Random(4096)
+    shapes = set()
+    for trial in range(150):
+        nrows, ncols = rng.randint(1, 24), rng.randint(1, 24)
+        mat = rational_matrix(rng, nrows, ncols, rng.choice([0.1, 0.25, 0.5]))
+        ker = mat.nullspace()
+        assert (ker.pivots, ker.rows) == dense_kernel(mat)
+        # membership in a nullspace goes through the integer form of mat
+        for vec in ker.rows[:2] + [{c: QQ(1, c + 1) for c in range(ncols)}]:
+            killed = all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+                         for row in mat.rows_as_dicts())
+            assert ker.contains(vec) == killed
+        image = Subspace.from_vectors(mat.nrows, mat.columns)
+        assert (image.pivots, image.rows) == dense_rref(mat.columns, mat.nrows)
+        rows = Subspace.from_vectors(mat.ncols, mat.rows_as_dicts())
+        assert (rows.pivots, rows.rows) == dense_rref(mat.rows_as_dicts(), mat.ncols)
+        shapes.add("empty kernel" if ker.dim == 0 else "kernel")
+        shapes.add("full rank" if image.dim == min(nrows, ncols) else "deficient")
+    assert shapes == {"empty kernel", "kernel", "full rank", "deficient"}
+
+
+def dense_reduce(sub, vec):
+    """vec minus its projection along the pivots, by dense arithmetic."""
+    out = [Fraction(vec.get(c, 0)) for c in range(sub.ambient)]
+    coeffs = [out[p] for p in sub.pivots]
+    for f, row in zip(coeffs, sub.rows):
+        for c in range(sub.ambient):
+            out[c] -= f * Fraction(row.get(c, 0))
+    return {c: v for c, v in enumerate(out) if v != 0}
+
+
+def test_reduce_and_contains_match_dense_reference():
+    rng = random.Random(99)
+    for trial in range(80):
+        n = rng.randint(2, 20)
+        gens = [{c: QQ(rng.randint(-4, 4), rng.randint(1, 5)) for c in rng.sample(range(n), rng.randint(1, n))}
+                for _ in range(rng.randint(1, n))]
+        subs = [Subspace.from_vectors(n, gens), Subspace.full(n)]
+        inside = {}
+        for g in gens:
+            add_scaled(inside, g, QQ(rng.randint(-3, 3), rng.randint(1, 4)))
+        other = {c: QQ(rng.choice([-3, -1, 1, 2, 4])) for c in rng.sample(range(n), rng.randint(1, n))}
+        for sub in subs:
+            dense_dim = len(dense_rref(sub.rows, n)[0])
+            for vec in (inside, other, {}):
+                assert sub.reduce(vec) == dense_reduce(sub, vec)
+                in_span = len(dense_rref(sub.rows + [vec], n)[0]) == dense_dim
+                assert sub.contains(vec) == in_span
+                assert sub.contains(vec) == (not dense_reduce(sub, vec))
+        # the vectors touch pivot and free columns alike
+        free = set(range(n)) - set(subs[0].pivots)
+        if free and subs[0].dim:
+            probe = {min(free): QQ(1), subs[0].pivots[0]: QQ(2, 3)}
+            assert subs[0].reduce(probe) == dense_reduce(subs[0], probe)
+            assert not subs[0].contains(probe)
+        assert subs[0].contains(inside) and subs[1].contains(other)
+        assert subs[1].reduce(other) == {}

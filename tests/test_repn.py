@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympdirac.rationals import QQ
-from sympdirac.operators import catalog
-from sympdirac.polys import monomial_m, x_, y_, z_
+from sympdirac import repn
+from sympdirac.linalg import vec_to_poly
+from sympdirac.operators import apply_op, catalog, op_scale
+from sympdirac.polys import monomial_m, poly_scale, x_, y_, z_
 from sympdirac.repn import (
     BRANCHING_TABLE,
     HighestWeightSO,
@@ -139,6 +141,31 @@ def test_casimir_eigencheck_on_harmonics(cat):
 def test_casimir_eigencheck_on_simplicial(cat):
     blk, space = simplicial_harmonics(6, 2, 1, "z", "x")
     assert casimir_eigencheck(cat, blk, space, HighestWeightSO(2, 1))
+
+
+def test_casimir_eigencheck_with_scaled_casimir(cat, monkeypatch):
+    blk, space = simplicial_harmonics(6, 2, 1, "z", "x")
+    w = HighestWeightSO(2, 1)
+    halved = dict(cat)
+    halved["Casimir"] = op_scale(cat["Casimir"], QQ(1, 2))
+    bad = casimir_eigencheck(halved, blk, space, w)
+    assert not bad and bad.expected == 15
+    assert bad.offending == vec_to_poly(space.rows[0], blk)
+    # the witness is an eigenvector of the halved Casimir, for 15/2
+    assert apply_op(halved["Casimir"], bad.offending) == poly_scale(bad.offending, QQ(15, 2))
+    assert casimir_eigencheck(cat, blk, space, w)
+    # a scalar with a denominator: expecting 15/2 makes the halved one pass
+    monkeypatch.setattr(repn, "casimir_scalar", lambda m, weight: QQ(15, 2))
+    assert casimir_eigencheck(halved, blk, space, w)
+    assert not casimir_eigencheck(cat, blk, space, w)
+    monkeypatch.undo()
+    # a Casimir with denominators can still pass: 5/3 * 12 is the scalar 20 of (2,2)
+    blk2, space2 = simplicial_harmonics(6, 2, 0)
+    scaled = dict(cat)
+    scaled["Casimir"] = op_scale(cat["Casimir"], QQ(5, 3))
+    assert casimir_eigencheck(scaled, blk2, space2, HighestWeightSO(2, 2))
+    assert not casimir_eigencheck(scaled, blk2, space2, HighestWeightSO(2))
+    assert casimir_eigencheck(cat, blk2, space2, HighestWeightSO(2))
 
 
 def test_dim_and_casimir_separate_weights():

@@ -173,3 +173,22 @@ def test_mutated_casimir_does_not_leak_cache():
     rows = [r for r in Verifier(M, cat=cat).branching_table(0) if r.name == "component_casimir"]
     assert len(rows) == 3
     assert all(not r.passed and r.witness for r in rows)
+
+
+def test_operator_matrices_built_once_per_verifier(monkeypatch):
+    # kernel_Ds, kernel_L and lowest_weight_space share the D_s and L
+    # matrices of a (k, t); no (operator, domain, codomain) is built twice
+    from sympdirac import linalg, repn, verify
+
+    built = []
+    orig = linalg.matrix_of
+
+    def counting(op, domain, codomain):
+        built.append((id(op), domain.tri_degrees, codomain.tri_degrees))
+        return orig(op, domain, codomain)
+
+    monkeypatch.setattr(verify, "matrix_of", counting)
+    monkeypatch.setattr(repn, "matrix_of", counting)
+    ver = Verifier(M)
+    assert all(r.passed for r in ver.l_fischer(2) + ver.branching_table(1))
+    assert built and len(set(built)) == len(built)
