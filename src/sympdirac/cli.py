@@ -24,6 +24,12 @@ from .verify import SUITES, Verifier
 # that a typo cannot start a run that does not end.
 RANGE_MAX = 8
 
+# Largest --m accepted. The eigenblocks grow with m as well: at
+# a_max = t_max = 4 the largest has 33,792 monomials at m = 8, 3.0 million
+# at m = 16 and 2.2 billion at m = 40, so a larger m is refused for the same
+# reason.
+M_MAX = 8
+
 
 def run_suite(name: str, m: int, a_max: int, t_max: int,
               ver: Optional[Verifier] = None) -> List[Dict[str, object]]:
@@ -168,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator decompositions.",
     )
     parser.add_argument("--m", type=int, default=6,
-                        help="number of base variables per series (default 6)")
+                        help=f"number of base variables per series, from 6 to {M_MAX} (default 6)")
     parser.add_argument("--a-max", type=int, default=4, dest="a_max",
                         help=f"largest harmonic degree for degree-indexed suites (at most {RANGE_MAX})")
     parser.add_argument("--t-max", type=int, default=4, dest="t_max",
@@ -191,6 +197,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.m < 6:
         parser.error("m must be >= 6 (stable range)")
+    if args.m > M_MAX:
+        parser.error(f"m must be at most {M_MAX}")
     if not 0 <= args.a_max <= RANGE_MAX:
         parser.error(f"a-max must be between 0 and {RANGE_MAX}")
     if not 0 <= args.t_max <= RANGE_MAX:

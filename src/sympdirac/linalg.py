@@ -1,9 +1,15 @@
 """Exact linear algebra over Q on sparse data.
 
-Rows and vectors are dicts {column index: coefficient}; matrices store
-sparse columns. Elimination runs on denominator-cleared integer rows in
-two phases, both through one fraction-free step (`_combine`: cross-multiply
-by the two leading entries, then strip the gcd, so coefficients stay small):
+Rows and vectors are dicts {column index: coefficient}. Matrices are
+integer-first: a matrix holds sparse integer columns and one denominator
+D, the least common denominator of its entries, and forms its rational
+columns only when they are read. matrix_of builds that form straight from
+the operators' integer images, and nullspaces, stacks, nullspace
+membership and the Casimir certificate in repn read it as it is.
+
+Elimination runs on denominator-cleared integer rows in two phases, both
+through one fraction-free step (`_combine`: cross-multiply by the two
+leading entries, then strip the gcd, so coefficients stay small):
 
 - forward (`_echelon`): bucket the rows by leading column, then walk the
   columns in order and eliminate each below its shortest row, giving one
@@ -14,10 +20,7 @@ by the two leading entries, then strip the gcd, so coefficients stay small):
 
 Rationals are formed only from the reduced rows, one division per output
 entry: RREF rows are divided by their leads, and a nullspace basis vector
-takes -row[f] / row[pivot] in each pivot column. Products with a matrix
-that only have to be tested for zero (nullspace membership, the Casimir
-certificate in repn) run on its integer form, D * M with D the common
-denominator, built once per matrix.
+takes -row[f] / row[pivot] in each pivot column.
 
 Subspace bases are kept in reduced row echelon form, which is unique per
 subspace, so equality of subspaces is literal equality of bases. The
@@ -42,7 +45,7 @@ import numpy as np
 
 from .rationals import QQ
 from .polys import Block, add_scaled, monomial_poly, render_poly
-from .operators import monomial_image
+from .operators import integer_image
 
 Row = Dict[int, QQ]  # sparse vector / matrix row
 IntRow = Dict[int, int]
@@ -253,50 +256,51 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 # matrices
 
 class RationalMatrix:
-    """Sparse matrix over Q, stored by columns."""
+    """Sparse matrix over Q, held in integer form: D and the columns of
+    D * M as integer vectors, D the least common denominator of the
+    entries. The rational columns are formed on first read."""
 
     def __init__(self, nrows: int, ncols: int, columns: List[Row]):
+        den = lcm(1, *{int(v.denominator) for col in columns for v in col.values()})
         self.nrows = nrows
         self.ncols = ncols
-        self.columns = columns
-        self._integer_form: Optional[Tuple[int, List[IntRow]]] = None
+        self._integer_form = (den, [{r: int(v.numerator) * (den // int(v.denominator))
+                                     for r, v in col.items()} for col in columns])
+        self._columns: Optional[List[Row]] = columns
+
+    @classmethod
+    def from_integer_form(cls, nrows: int, ncols: int, den: int, columns: List[IntRow]) -> "RationalMatrix":
+        """The matrix with columns columns[j] / den; den must be the least
+        common denominator of those entries."""
+        mat = cls.__new__(cls)
+        mat.nrows = nrows
+        mat.ncols = ncols
+        mat._integer_form = (den, columns)
+        mat._columns = None
+        return mat
 
     @classmethod
     def from_columns(cls, nrows: int, columns: Sequence[Row]) -> "RationalMatrix":
         return cls(nrows, len(columns), [dict(c) for c in columns])
 
-    @classmethod
-    def from_entries(cls, nrows: int, ncols: int, entries: Dict[Tuple[int, int], object]) -> "RationalMatrix":
-        columns: List[Row] = [{} for _ in range(ncols)]
-        for (r, c), v in entries.items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            q = QQ(v)
-            if q:
-                columns[c][r] = q
-        return cls(nrows, ncols, columns)
+    @property
+    def columns(self) -> List[Row]:
+        if self._columns is None:
+            den, cols = self._integer_form
+            self._columns = [{r: QQ(v, den) for r, v in col.items()} for col in cols]
+        return self._columns
 
     def rows_as_dicts(self) -> List[Row]:
-        rows: List[Row] = [{} for _ in range(self.nrows)]
-        for c, col in enumerate(self.columns):
-            for r, v in col.items():
-                rows[r][c] = v
-        return rows
+        return _transpose(self.columns, self.nrows)
 
     def integer_form(self) -> Tuple[int, List[IntRow]]:
         """(D, the columns of D * M as integers), D the least common
-        denominator of the entries; built on first use, kept with the
-        matrix."""
-        if self._integer_form is None:
-            den = lcm(1, *(int(v.denominator) for col in self.columns for v in col.values()))
-            cols = [{r: int(v.numerator) * (den // int(v.denominator)) for r, v in col.items()}
-                    for col in self.columns]
-            self._integer_form = (den, cols)
+        denominator of the entries."""
         return self._integer_form
 
     def mul_int_vec(self, vec: IntRow, f: int = 1) -> IntRow:
         """f * (D * M) * vec for an integer vector, D as in integer_form."""
-        cols = self.integer_form()[1]
+        cols = self._integer_form[1]
         out: IntRow = {}
         for c, v in vec.items():
             add_scaled(out, cols[c], f * v)
@@ -306,7 +310,7 @@ class RationalMatrix:
         """Canonical RREF basis of {v : M v = 0}, see module docstring: the
         basis vector of free column f is 1 at f and -row[f] / row[p] at
         the pivot p of each reduced row."""
-        int_rows = [to_int_row(r) for r in self.rows_as_dicts() if r]
+        int_rows = [to_int_row(r) for r in _transpose(self._integer_form[1], self.nrows) if r]
         pivots = _reduce_back(_echelon(int_rows, self.ncols, reverse=True))
         pivot_cols = {col for col, _ in pivots}
         free_cols = [c for c in range(self.ncols) if c not in pivot_cols]
@@ -319,12 +323,22 @@ class RationalMatrix:
         return Subspace(self.ncols, free_cols, [basis[f] for f in free_cols], annihilator=self)
 
     def __repr__(self) -> str:
-        nnz = sum(len(c) for c in self.columns)
+        nnz = sum(len(c) for c in self._integer_form[1])
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={nnz})"
 
 
+def _transpose(columns: List[Dict], nrows: int) -> List[Dict]:
+    rows: List[Dict] = [{} for _ in range(nrows)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            rows[r][c] = v
+    return rows
+
+
 def stack_matrices(mats: Sequence[RationalMatrix]) -> RationalMatrix:
-    """Vertical concatenation; all operands must share the column count."""
+    """Vertical concatenation; all operands must share the column count.
+    Each operand's integer columns are scaled to the lcm of the operands'
+    denominators, which is the least common denominator of the stack."""
     mats = [m for m in mats if m is not None]
     if not mats:
         raise ValueError("nothing to stack")
@@ -332,37 +346,58 @@ def stack_matrices(mats: Sequence[RationalMatrix]) -> RationalMatrix:
     for mat in mats[1:]:
         if mat.ncols != ncols:
             raise AmbientMismatch(f"column counts {ncols} vs {mat.ncols}")
-    columns: List[Row] = [{} for _ in range(ncols)]
+    den = lcm(*(mat.integer_form()[0] for mat in mats))
+    columns: List[IntRow] = [{} for _ in range(ncols)]
     offset = 0
     for mat in mats:
-        for j, col in enumerate(mat.columns):
+        d, cols = mat.integer_form()
+        f = den // d
+        for j, col in enumerate(cols):
+            dst = columns[j]
             for r, v in col.items():
-                columns[j][offset + r] = v
+                dst[offset + r] = v * f
         offset += mat.nrows
-    return RationalMatrix(offset, ncols, columns)
+    return RationalMatrix.from_integer_form(offset, ncols, den, columns)
 
 
 def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
     """Matrix of a linear operator between two graded blocks; column j is
-    the compiled operator run on the j-th basis monomial of the domain.
+    the compiled operator run on integers on the j-th basis monomial of
+    the domain, over its plan's denominator. The columns are brought to
+    the lcm of those denominators and then reduced to the least common
+    denominator of the entries.
 
     Any image component outside the codomain raises ImageOutsideCodomain;
     nothing is silently dropped.
     """
-    columns: List[Row] = []
+    index = codomain.index
+    columns: List[IntRow] = []
+    dens: List[int] = []
     for mono in domain.basis:
-        image = monomial_image(op, mono)
-        col: Row = {}
-        for out_mono, coeff in image.items():
-            pos = codomain.index.get(out_mono)
+        image, d = integer_image(op, mono)
+        col: IntRow = {}
+        for out_mono, v in image.items():
+            pos = index.get(out_mono)
             if pos is None:
                 raise ImageOutsideCodomain(
                     f"{op.label} maps {render_poly(monomial_poly(mono))} to a term "
-                    f"{render_poly(monomial_poly(out_mono, coeff))} outside codomain {codomain}"
+                    f"{render_poly(monomial_poly(out_mono, QQ(v, d)))} outside codomain {codomain}"
                 )
-            col[pos] = coeff
+            col[pos] = v
         columns.append(col)
-    return RationalMatrix(codomain.dim, domain.dim, columns)
+        dens.append(d)
+    den = lcm(1, *set(dens))
+    columns = [col if d == den else {r: v * (den // d) for r, v in col.items()}
+               for col, d in zip(columns, dens)]
+    g = den
+    for col in columns:
+        if g == 1:
+            break
+        g = gcd(g, *col.values())
+    if g > 1:
+        den //= g
+        columns = [{r: v // g for r, v in col.items()} for col in columns]
+    return RationalMatrix.from_integer_form(codomain.dim, domain.dim, den, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,24 @@ Euler denominators, and spot-checked extensionally on low-degree blocks.
 
 Application runs a compiled form of the operator, built on first use for
 each m and stored on the operator, keyed by m and by the `terms` tuple it
-was built from (reassigning `terms` recompiles). Each distinct action word
-becomes a tuple of (exponent index, is_derivative) pairs, plus the least
-exponent each differentiated index needs for the word not to annihilate.
-Terms with the identical word are merged, and only those, so this is no
-normal ordering. Constant scalars are folded into one rational at compile
-time. Euler scalars are evaluated only when the word hits a monomial, once
-per input tri-degree, and the value is cached on the word; a vanishing
-denominator raises SingularEulerDenominator on every such call and is
-never cached. The compiled path and the normal form share no helper, so
+was built from (reassigning `terms` recompiles). A word becomes its
+derivative offsets and its net exponent change: on a monomial it gives
+the product of mono[i] + k over the offsets (i, k), times the monomial
+shifted by the change. Terms whose words act identically on every
+monomial (equal offsets and change) are merged, and only those, so this is
+no normal ordering; constant scalars are folded into one rational.
+
+Each input tri-degree gets an integer plan, built once: a denominator D
+and, aligned with the words, each word's scalar times D. Euler scalars are
+evaluated only there, and only for the words that can hit a monomial of
+that degree (in each of the x, y, z blocks, the least exponents the word
+needs sum to at most the block's degree). A word whose Euler denominator
+vanishes gets 0 and is listed as singular; SingularEulerDenominator is
+raised on every call on which such a word hits the monomial, so Pi_L is
+defined where L already kills. Application then runs on integers, and a
+rational is formed only where a result leaves this layer: apply_op forms
+one per output entry, and matrix_of (linalg) takes the integer images
+with their D. The compiled path and the normal form share no helper, so
 the extensional and symbolic certificates stay independent checks of each
 other.
 """
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .rationals import QQ
@@ -42,7 +52,6 @@ from .polys import (
     TriDegree,
     VariableId,
     VarBlock,
-    add_scaled,
     poly_add_term,
     tri_degree_of,
     x_,
@@ -153,22 +162,24 @@ class OperatorTerm:
         return tuple(s)
 
 
-# One compiled word: (actions as (exponent index, is_derivative) pairs,
-# the least exponent each differentiated index needs for the word not to
-# annihilate, the folded constant scalar, the Euler-dependent scalars, and
-# their summed value per input tri-degree, None when there are none).
-Word = Tuple[Tuple[int, bool], ...]
-CompiledWord = Tuple[Word, Tuple[Tuple[int, int], ...], object, Tuple[EulerScalar, ...],
-                     Optional[Dict[TriDegree, object]]]
-CompiledWords = Tuple[CompiledWord, ...]
+# One compiled word, as it acts on a monomial: its derivative offsets, (i, k)
+# pairs each contributing the factor mono[i] + k (k is what the earlier
+# actions did to exponent i), and its net exponent change, (i, c) pairs
+# with c != 0. The image of mono is the product of the factors times
+# mono + change, and it is zero exactly when one factor is.
+Word = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]
+# The integer plan of an operator at one input tri-degree: (D, the words'
+# scalars times D, aligned with the words, the words that hit some
+# monomial of that degree but whose Euler denominator vanishes there).
+Plan = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class LinearOperator:
     def __init__(self, label: str, terms: Iterable[OperatorTerm]):
         self.label = label
         self.terms: Tuple[OperatorTerm, ...] = tuple(terms)
-        # (the terms tuple compiled, {m: compiled words}), see _compiled_words
-        self._compiled: Optional[Tuple[Tuple[OperatorTerm, ...], Dict[int, CompiledWords]]] = None
+        # (the terms tuple compiled, {m: compiled form}), see _compiled
+        self._compiled: Optional[Tuple[Tuple[OperatorTerm, ...], Dict[int, "_Compiled"]]] = None
 
     def relabel(self, label: str) -> "LinearOperator":
         return LinearOperator(label, self.terms)
@@ -177,117 +188,169 @@ class LinearOperator:
         return f"LinearOperator({self.label!r}, {len(self.terms)} terms)"
 
 
-def _compile(terms: Tuple[OperatorTerm, ...], m: int) -> CompiledWords:
-    """Merge the terms whose action words are identical (and only those)
-    and fold their constant scalars into one rational. A word whose
-    scalars cancel to the constant 0 is dropped."""
-    merged: Dict[Word, list] = {}
-    shared: Dict[Tuple[int, bool], Tuple[int, bool]] = {}  # one object per action pair
-    for term in terms:
-        pairs = []
-        for act in term.actions:
-            pair = (act.var.flat(m), act.kind is ActionKind.DeriveVar)
-            pairs.append(shared.setdefault(pair, pair))
-        word = tuple(pairs)
-        entry = merged.get(word)
-        if entry is None:
-            entry = merged[word] = [QQ(0), []]
-        s = term.scalar
-        if s.num or s.den:
-            entry[1].append(s)
-        else:
-            entry[0] += QQ(s.coeff)
-    return tuple((word, _least_exponents(word), const, tuple(eulers), {} if eulers else None)
-                 for word, (const, eulers) in merged.items() if const or eulers)
+class _Compiled:
+    """The compiled form of one operator at one m: its words, and per word
+    the least degree in each of the x, y, z blocks of a monomial it does
+    not annihilate, its folded constant and its Euler scalars; plus the
+    integer plan of each input tri-degree met so far."""
+
+    __slots__ = ("words", "scalars", "plans")
+
+    def __init__(self, terms: Tuple[OperatorTerm, ...], m: int):
+        merged: Dict[Word, list] = {}
+        for term in terms:
+            net: Dict[int, int] = {}
+            offsets = []
+            for act in term.actions:
+                i = act.var.flat(m)
+                k = net.get(i, 0)
+                if act.kind is ActionKind.DeriveVar:
+                    offsets.append((i, k))
+                    net[i] = k - 1
+                else:
+                    net[i] = k + 1
+            word = (tuple(sorted(offsets)), tuple(sorted((i, c) for i, c in net.items() if c)))
+            entry = merged.get(word)
+            if entry is None:
+                entry = merged[word] = [QQ(0), []]
+            s = term.scalar
+            if s.num or s.den:
+                entry[1].append(s)
+            else:
+                entry[0] += QQ(s.coeff)
+        kept = [(word, const, eulers) for word, (const, eulers) in merged.items() if const or eulers]
+        self.words: Tuple[Word, ...] = tuple(word for word, _, _ in kept)
+        self.scalars = tuple((_least_block_degrees(word[0], m), const, tuple(eulers))
+                             for word, const, eulers in kept)
+        self.plans: Dict[TriDegree, Plan] = {}
+
+    def plan(self, d: TriDegree, label: str) -> Plan:
+        """The plan at d, built on first use. A word gets 0 when it cannot
+        hit a monomial of degree d, so its Euler scalars are not
+        evaluated, or when its scalar vanishes at d; a word whose Euler
+        denominator vanishes at d gets 0 and is listed as singular."""
+        plan = self.plans.get(d)
+        if plan is not None:
+            return plan
+        values = []
+        singular = []
+        for j, (least, const, eulers) in enumerate(self.scalars):
+            s = 0
+            if least[0] <= d.kx and least[1] <= d.ky and least[2] <= d.kz:
+                try:
+                    s = sum((scalar.evaluate(d, label) for scalar in eulers), const)
+                except SingularEulerDenominator:
+                    singular.append(j)
+                    s = 0
+            values.append(s)
+        den = lcm(1, *{int(s.denominator) for s in values})
+        nums = tuple(int(s.numerator) * (den // int(s.denominator)) for s in values)
+        plan = self.plans[d] = (den, nums, tuple(singular))
+        return plan
 
 
-def _least_exponents(word: Word) -> Tuple[Tuple[int, int], ...]:
-    """(index, e) pairs such that the word annihilates a monomial exactly
-    when some exponent at index is below e. Before each derivative of
-    index i the exponent there is its input value plus the net count of
-    earlier actions on i, and the word annihilates at the first
-    derivative that meets a zero."""
-    net: Dict[int, int] = {}
+def _least_block_degrees(offsets: Tuple[Tuple[int, int], ...], m: int) -> Tuple[int, int, int]:
+    """The least x, y and z degree of a monomial that a word with these
+    derivative offsets does not annihilate: exponent i must be at least
+    1 - k for every offset (i, k)."""
     least: Dict[int, int] = {}
-    for i, der in word:
-        k = net.get(i, 0)
-        if der:
-            least[i] = max(least.get(i, 0), 1 - k)
-        net[i] = k - 1 if der else k + 1
-    return tuple(least.items())
+    for i, k in offsets:
+        least[i] = max(least.get(i, 0), 1 - k)
+    out = [0, 0, 0]
+    for i, e in least.items():
+        out[i // m] += e
+    return tuple(out)
 
 
-def _compiled_words(op: LinearOperator, m: int) -> CompiledWords:
+def _compiled(op: LinearOperator, m: int) -> _Compiled:
     """The compiled form of op at m, rebuilt whenever op.terms is no longer
     the tuple it was compiled from."""
     cache = op._compiled
     if cache is None or cache[0] is not op.terms:
         cache = op._compiled = (op.terms, {})
-    words = cache[1].get(m)
-    if words is None:
-        words = cache[1][m] = _compile(op.terms, m)
-    return words
+    comp = cache[1].get(m)
+    if comp is None:
+        comp = cache[1][m] = _Compiled(op.terms, m)
+    return comp
 
 
-def monomial_image(op: LinearOperator, mono: Monomial) -> Poly:
-    """Exact image of a single monomial with coefficient 1.
-
-    A word runs on a list of exponents, unless its least exponents show
-    that it annihilates the monomial; then its scalar is not evaluated, so
-    Pi_L is defined on blocks where its Euler denominator vanishes but L
-    already kills. Euler scalars are evaluated on the input tri-degree
-    and cached per word, and never cached when a denominator vanishes."""
+def _prepare(op: LinearOperator, mono: Monomial) -> Tuple[Tuple[Word, ...], int, Tuple[int, ...]]:
+    """(words, D, numerators) of op's plan at the tri-degree of mono.
+    Raises SingularEulerDenominator if a word whose denominator vanishes
+    there hits mono, on every call."""
     d = tri_degree_of(mono)  # raises ValueError unless len(mono) == 3m
-    out: Poly = {}
-    for word, least, const, eulers, by_degree in _compiled_words(op, len(mono) // 3):
-        if eulers:
-            s = by_degree.get(d)
-            if s is not None and not s:
-                continue
-        for i, e in least:
-            if mono[i] < e:
-                break
+    comp = _compiled(op, len(mono) // 3)
+    den, nums, singular = comp.plan(d, op.label)
+    for j in singular:
+        if all(mono[i] + k for i, k in comp.words[j][0]):
+            raise SingularEulerDenominator(op.label, d)
+    return comp.words, den, nums
+
+
+def _run(words: Tuple[Word, ...], nums: Tuple[int, ...], mono: Monomial,
+         out: Dict[Monomial, int], mult: int) -> None:
+    """out += mult * sum_j nums[j] * word_j(mono), on integers; entries
+    that cancel are dropped."""
+    for (offsets, change), n in zip(words, nums):
+        if not n:
+            continue
+        f = n * mult
+        for i, k in offsets:
+            f *= mono[i] + k
+        if not f:
+            continue
+        exps = list(mono)
+        for i, c in change:
+            exps[i] += c
+        key = tuple(exps)
+        v = out.get(key)
+        if v is None:
+            out[key] = f
         else:
-            exps = list(mono)
-            factor = 1
-            for i, der in word:
-                e = exps[i]
-                if der:
-                    factor *= e
-                    exps[i] = e - 1
-                else:
-                    exps[i] = e + 1
-            if eulers:
-                if s is None:
-                    s = const
-                    for scalar in eulers:
-                        s = s + scalar.evaluate(d, op.label)
-                    by_degree[d] = s
-                if not s:
-                    continue
+            v += f
+            if v:
+                out[key] = v
             else:
-                s = const
-            key = tuple(exps)
-            v = s if factor == 1 else factor * s
-            if key in out:
-                v += out[key]
-                if not v:
-                    del out[key]
-                    continue
-            out[key] = v
-    return out
+                del out[key]
+
+
+def integer_image(op: LinearOperator, mono: Monomial) -> Tuple[Dict[Monomial, int], int]:
+    """(v, D) with op(mono) = v / D entrywise: D is the denominator of op's
+    plan at the tri-degree of mono, v has integer entries."""
+    words, den, nums = _prepare(op, mono)
+    out: Dict[Monomial, int] = {}
+    _run(words, nums, mono, out, 1)
+    return out, den
 
 
 def apply_op(op: LinearOperator, p: Poly) -> Poly:
-    """Exact image of p, one monomial at a time (see monomial_image)."""
-    out: Poly = {}
-    for mono, c in p.items():
-        image = monomial_image(op, mono)
-        if c == 1 and not out:  # the usual single monomial needs no scaling
-            out = image
-        else:
-            add_scaled(out, image, c)
-    return out
+    """Exact image of p. p's denominators are cleared once, the images of
+    its monomials accumulate on integers over the running lcm of their
+    plans' denominators, and each output entry becomes one rational."""
+    if len(p) == 1:  # the usual single monomial: its image, scaled
+        [(mono, c)] = p.items()
+        out, den = integer_image(op, mono)
+        num = int(c.numerator)
+        if num != 1:
+            out = {key: v * num for key, v in out.items()} if num else {}
+        den *= int(c.denominator)
+    else:
+        common = lcm(1, *{int(c.denominator) for c in p.values()})
+        out = {}
+        den = 1
+        for mono, c in p.items():
+            words, d, nums = _prepare(op, mono)
+            if den % d:
+                grown = lcm(den, d)
+                f = grown // den
+                for key in out:
+                    out[key] *= f
+                den = grown
+            _run(words, nums, mono, out, int(c.numerator) * (common // int(c.denominator)) * (den // d))
+        den *= common
+    if den == 1:
+        return {key: QQ(v) for key, v in out.items()}
+    return {key: QQ(v, den) for key, v in out.items()}
 
 
 def op_add(a: LinearOperator, b: LinearOperator, label: str = "") -> LinearOperator:

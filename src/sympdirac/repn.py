@@ -315,8 +315,8 @@ def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspa
     """True iff the Casimir acts on every vector of sub as the scalar of
     weight w; on failure the first offending vector rides along.
 
-    With D clearing the matrix's denominators (its integer form, kept
-    with the matrix and so with the Casimir operator), the scalar p/q and
+    With D clearing the matrix's denominators (its integer form, which
+    matrix_of builds, kept with the Casimir operator), the scalar p/q and
     r a vector with its denominators cleared, M r = (p/q) r is tested as
     q (D M) r == p D r, on integers."""
     expected = casimir_scalar(block.m, w)

@@ -460,11 +460,13 @@ class Verifier:
             k0 = self.eigenblock(0, t)
             parts = [ker]
             if k0.block.dim:
-                up = matrix_of(cat["D_s_dag"], k0.block, eb.block)
-                rank = rank_certified(up.columns, eb.block.dim)
+                # rank and span do not change under scaling, so the
+                # integer columns serve
+                up = matrix_of(cat["D_s_dag"], k0.block, eb.block).integer_form()[1]
+                rank = rank_certified(up, eb.block.dim)
                 rows.append(_row("dirac_up_injective", {"a": a, "k0_dim": k0.block.dim},
                                  k0.block.dim, rank))
-                parts.append(self.span(up.columns, eb))
+                parts.append(self.span(up, eb))
             ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
             rows.append(_row("symplectic_fischer_sum", {"a": a, "dim": eb.block.dim,
                                                         "kernel": ker.dim,

@@ -49,6 +49,27 @@ def test_ranges_above_limit_rejected(monkeypatch, capsys):
         assert f"{flag[2:]} must be between 0 and {cli.RANGE_MAX}" in capsys.readouterr().err
 
 
+def test_m_above_limit_rejected(monkeypatch, capsys):
+    from sympdirac import cli
+
+    started = []
+
+    def no_report(*args, **kwargs):
+        started.append(args)
+        raise RuntimeError("stub report")
+
+    monkeypatch.setattr(cli, "build_report", no_report)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--m", str(cli.M_MAX + 1)])
+    assert exc.value.code == 2
+    assert f"m must be at most {cli.M_MAX}" in capsys.readouterr().err
+    assert not started
+    # the limit itself is accepted and reaches the report
+    with pytest.raises(RuntimeError, match="stub report"):
+        cli.run(["--m", str(cli.M_MAX)])
+    assert started[0][0] == cli.M_MAX
+
+
 def test_unknown_suite_rejected():
     r = run_cli("--suite", "nonexistent")
     assert r.returncode == 2

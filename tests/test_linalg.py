@@ -16,12 +16,14 @@ from sympdirac.rationals import QQ
 
 
 def random_matrix(rng, nrows, ncols, density=0.2):
-    entries = {}
+    columns = [{} for _ in range(ncols)]
     for r in range(nrows):
         for c in range(ncols):
             if rng.random() < density:
-                entries[(r, c)] = QQ(rng.randint(-3, 3))
-    return RationalMatrix.from_entries(nrows, ncols, entries)
+                v = QQ(rng.randint(-3, 3))
+                if v:
+                    columns[c][r] = v
+    return RationalMatrix(nrows, ncols, columns)
 
 
 def test_rank_nullity_on_random_matrices():
@@ -126,7 +128,7 @@ def test_is_direct_sum():
 
 
 def test_matrix_entry_and_image():
-    mat = RationalMatrix.from_entries(3, 2, {(0, 0): QQ(1), (2, 0): QQ(1, 2), (2, 1): QQ(1)})
+    mat = RationalMatrix(3, 2, [{0: QQ(1), 2: QQ(1, 2)}, {2: QQ(1)}])
     assert mat.columns[0].get(2, 0) == QQ(1, 2)
     assert mat.columns[1].get(1, 0) == 0
     img = Subspace.from_vectors(mat.nrows, mat.columns)
@@ -188,8 +190,11 @@ def rational_matrix(rng, nrows, ncols, density):
     if nrows > 3 and rng.random() < 0.5:
         rows[0] = dict(rows[1])
         rows[2] = {c: v * QQ(-7, 3) for c, v in rows[3].items()}
-    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
-    return RationalMatrix.from_entries(nrows, ncols, entries)
+    columns = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            columns[c][r] = v
+    return RationalMatrix(nrows, ncols, columns)
 
 
 def test_elimination_matches_dense_reference():

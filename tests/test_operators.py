@@ -1,8 +1,9 @@
 import random
+from math import lcm
 
 import pytest
 
-from sympdirac.linalg import matrix_of, rank_certified
+from sympdirac.linalg import RationalMatrix, matrix_of, rank_certified, stack_matrices
 from sympdirac.operators import (
     ActionKind,
     ElementaryAction,
@@ -16,6 +17,7 @@ from sympdirac.operators import (
     compose,
     der_,
     identity_op,
+    integer_image,
     mul_,
     op_scale,
     op_sub,
@@ -39,6 +41,7 @@ from sympdirac.polys import (
     z_,
 )
 from sympdirac.rationals import QQ
+from sympdirac.verify import Verifier
 
 M = 6
 
@@ -385,3 +388,110 @@ def test_singular_denominator_raised_on_every_call(cat):
     for _ in range(2):
         with pytest.raises(SingularEulerDenominator):
             apply_op(cat["Pi_L"], hit)
+
+
+# ---------------------------------------------------------------------------
+# integer plans: matrices and applications against the same reference
+
+
+def reference_columns(op, domain, codomain):
+    """The columns of op's matrix, one reference_apply per basis monomial."""
+    cols = []
+    for b_mono in domain.basis:
+        image = reference_apply(op, {b_mono: QQ(1)})
+        cols.append({codomain.index[out]: v for out, v in image.items()})
+    return cols
+
+
+@pytest.mark.parametrize("name, k, t, k_out, t_out", [
+    ("D_s", 1, 1, 0, 1),
+    ("L", 1, 1, 1, -1),
+    ("L", 1, 2, 1, 0),
+    ("Casimir", 1, 1, 1, 1),
+    ("Pi_L", 1, 1, 1, 1),
+    ("Pi_L", 1, 2, 1, 2),
+    ("S_yz", 1, 2, 2, 2),
+])
+def test_matrix_of_matches_reference_columns(cat, name, k, t, k_out, t_out):
+    ver = Verifier(M, cat)
+    domain, codomain = ver.eigenblock(k, t).block, ver.eigenblock(k_out, t_out).block
+    assert len(domain.tri_degrees) == 2
+    want = reference_columns(cat[name], domain, codomain)
+    mat = matrix_of(cat[name], domain, codomain)
+    assert (mat.nrows, mat.ncols) == (codomain.dim, domain.dim)
+    assert mat.columns == want
+    den, int_cols = mat.integer_form()
+    assert den == lcm(1, *(int(v.denominator) for col in want for v in col.values()))
+    assert int_cols == [{r: v * den for r, v in col.items()} for col in want]
+    if name in ("Pi_L", "S_yz"):
+        assert den > 1
+
+
+def test_matrix_denominator_is_reduced(cat):
+    # L's plans carry D = 2 (the -1/2 of the z-Laplacian), but e(e-1)/2 is
+    # an integer, so the matrix's least common denominator is 1
+    ver = Verifier(M, cat)
+    domain = ver.eigenblock(1, 1).block
+    assert {integer_image(cat["L"], b)[1] for b in domain.basis} == {1, 2}
+    assert ver.lowering_matrix(1, 1).integer_form()[0] == 1
+
+
+def test_stack_with_different_denominators(cat):
+    ver = Verifier(M, cat)
+    blk = ver.eigenblock(1, 1).block
+    third_L = op_scale(cat["L"], QQ(1, 3))
+    parts = [matrix_of(third_L, blk, ver.eigenblock(1, -1).block),
+             matrix_of(cat["D_s"], blk, ver.eigenblock(0, 1).block),
+             matrix_of(cat["Pi_L"], blk, blk)]
+    dens = [mat.integer_form()[0] for mat in parts]
+    assert dens == [3, 1, 4]
+    stacked = stack_matrices(parts)
+    by_hand = [{} for _ in range(blk.dim)]
+    offset = 0
+    for mat in parts:
+        for j, col in enumerate(mat.columns):
+            by_hand[j].update({offset + r: v for r, v in col.items()})
+        offset += mat.nrows
+    assert stacked.integer_form()[0] == lcm(*dens)
+    assert stacked.columns == by_hand
+    got, want = stacked.nullspace(), RationalMatrix(offset, blk.dim, by_hand).nullspace()
+    assert (got.pivots, got.rows) == (want.pivots, want.rows)
+    # the paper's pair: ker D_s and ker L together, as lowest_weight_space
+    lws = stack_matrices([ver.dirac_matrix(1, 1), ver.lowering_matrix(1, 1)]).nullspace()
+    assert lws == ver.lowest_weight_space(1, 1)
+
+
+def test_apply_op_over_two_degrees_with_denominators(cat):
+    # the two monomials sit in tri-degrees whose plans have different D,
+    # and the coefficients have denominators 3 and 5
+    a, b = mono(y1=1, z1=1, z2=1), mono(y2=1, z1=1)
+    p = {a: QQ(1, 3), b: QQ(-2, 5)}
+    assert integer_image(cat["Pi_L"], a)[1] != integer_image(cat["Pi_L"], b)[1]
+    for name in ("Pi_L", "S_yz", "C_xz", "C_yz", "Casimir"):
+        assert assert_matches_reference(cat[name], p)
+        assert all(apply_op(cat[name], p).values())
+
+
+def test_apply_op_cancels_to_empty(cat):
+    # <y, d_x> sends x1 y2 and x2 y1 to the same monomial y1 y2
+    p = {mono(x1=1, y2=1): QQ(1, 3), mono(x2=1, y1=1): QQ(-1, 3)}
+    assert apply_op(cat["sl_s_X"], p) == {}
+    p[mono(x1=1, y1=1)] = QQ(2, 7)
+    assert apply_op(cat["sl_s_X"], p) == {mono(y1=2): QQ(2, 7)}
+    # a residual that vanishes, applied across two tri-degrees
+    residual = op_sub(commutator(cat["R"], cat["L"]), cat["E_script"])
+    q = {mono(x1=1, z2=2): QQ(1, 3), mono(y1=1, z1=1): QQ(2, 5), mono(z1=1): QQ(7)}
+    assert apply_op(residual, q) == {}
+
+
+def test_projector_matrix_singular_or_lazy(cat):
+    # x1^2 y1 is hit by a word of Pi_L whose denominator vanishes there
+    domain = Block(M, [TriDegree(2, 1, 0)])
+    codomain = Block(M, [TriDegree(2, 1, 0), TriDegree(3, 0, 2)])
+    for _ in range(2):
+        with pytest.raises(SingularEulerDenominator):
+            matrix_of(cat["Pi_L"], domain, codomain)
+    # on the x_j, L already kills every monomial: Pi_L is the identity
+    blk = Verifier(M, cat).eigenblock(1, -1).block
+    mat = matrix_of(cat["Pi_L"], blk, blk)
+    assert mat.integer_form() == (1, [{i: 1} for i in range(blk.dim)])
