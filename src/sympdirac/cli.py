@@ -26,8 +26,9 @@ RANGE_MAX = 8
 
 # Largest --m accepted. The eigenblocks grow with m as well: at
 # a_max = t_max = 4 the largest has 33,792 monomials at m = 8, 3.0 million
-# at m = 16 and 2.2 billion at m = 40, so a larger m is refused for the same
-# reason.
+# at m = 16 and 2.2 billion at m = 40. The bound is on m alone, like
+# RANGE_MAX on the ranges, so m > 8 is refused even where a_max and t_max
+# are small enough to keep the blocks small.
 M_MAX = 8
 
 

@@ -2,8 +2,8 @@
 
 Rows and vectors are dicts {column index: coefficient}. Matrices are
 integer-first: a matrix holds sparse integer columns and one denominator
-D, the least common denominator of its entries, and forms its rational
-columns only when they are read. matrix_of builds that form straight from
+D, a common denominator of its entries, and forms its rational columns
+only when they are read. matrix_of builds that form straight from
 the operators' integer images, and nullspaces, stacks, nullspace
 membership and the Casimir certificate in repn read it as it is.
 
@@ -257,8 +257,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 class RationalMatrix:
     """Sparse matrix over Q, held in integer form: D and the columns of
-    D * M as integer vectors, D the least common denominator of the
-    entries. The rational columns are formed on first read."""
+    D * M as integer vectors, D a common denominator of the entries. The
+    rational columns are formed on first read."""
 
     def __init__(self, nrows: int, ncols: int, columns: List[Row]):
         den = lcm(1, *{int(v.denominator) for col in columns for v in col.values()})
@@ -270,8 +270,8 @@ class RationalMatrix:
 
     @classmethod
     def from_integer_form(cls, nrows: int, ncols: int, den: int, columns: List[IntRow]) -> "RationalMatrix":
-        """The matrix with columns columns[j] / den; den must be the least
-        common denominator of those entries."""
+        """The matrix with columns columns[j] / den, den a common
+        denominator of those entries."""
         mat = cls.__new__(cls)
         mat.nrows = nrows
         mat.ncols = ncols
@@ -294,8 +294,8 @@ class RationalMatrix:
         return _transpose(self.columns, self.nrows)
 
     def integer_form(self) -> Tuple[int, List[IntRow]]:
-        """(D, the columns of D * M as integers), D the least common
-        denominator of the entries."""
+        """(D, the columns of D * M as integers), D a common denominator
+        of the entries."""
         return self._integer_form
 
     def mul_int_vec(self, vec: IntRow, f: int = 1) -> IntRow:
@@ -338,7 +338,7 @@ def _transpose(columns: List[Dict], nrows: int) -> List[Dict]:
 def stack_matrices(mats: Sequence[RationalMatrix]) -> RationalMatrix:
     """Vertical concatenation; all operands must share the column count.
     Each operand's integer columns are scaled to the lcm of the operands'
-    denominators, which is the least common denominator of the stack."""
+    denominators."""
     mats = [m for m in mats if m is not None]
     if not mats:
         raise ValueError("nothing to stack")
@@ -364,8 +364,7 @@ def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
     """Matrix of a linear operator between two graded blocks; column j is
     the compiled operator run on integers on the j-th basis monomial of
     the domain, over its plan's denominator. The columns are brought to
-    the lcm of those denominators and then reduced to the least common
-    denominator of the entries.
+    the lcm of those denominators.
 
     Any image component outside the codomain raises ImageOutsideCodomain;
     nothing is silently dropped.
@@ -389,14 +388,6 @@ def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
     den = lcm(1, *set(dens))
     columns = [col if d == den else {r: v * (den // d) for r, v in col.items()}
                for col, d in zip(columns, dens)]
-    g = den
-    for col in columns:
-        if g == 1:
-            break
-        g = gcd(g, *col.values())
-    if g > 1:
-        den //= g
-        columns = [{r: v // g for r, v in col.items()} for col in columns]
     return RationalMatrix.from_integer_form(codomain.dim, domain.dim, den, columns)
 
 

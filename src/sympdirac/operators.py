@@ -327,27 +327,19 @@ def apply_op(op: LinearOperator, p: Poly) -> Poly:
     """Exact image of p. p's denominators are cleared once, the images of
     its monomials accumulate on integers over the running lcm of their
     plans' denominators, and each output entry becomes one rational."""
-    if len(p) == 1:  # the usual single monomial: its image, scaled
-        [(mono, c)] = p.items()
-        out, den = integer_image(op, mono)
-        num = int(c.numerator)
-        if num != 1:
-            out = {key: v * num for key, v in out.items()} if num else {}
-        den *= int(c.denominator)
-    else:
-        common = lcm(1, *{int(c.denominator) for c in p.values()})
-        out = {}
-        den = 1
-        for mono, c in p.items():
-            words, d, nums = _prepare(op, mono)
-            if den % d:
-                grown = lcm(den, d)
-                f = grown // den
-                for key in out:
-                    out[key] *= f
-                den = grown
-            _run(words, nums, mono, out, int(c.numerator) * (common // int(c.denominator)) * (den // d))
-        den *= common
+    common = lcm(1, *{int(c.denominator) for c in p.values()})
+    out: Dict[Monomial, int] = {}
+    den = 1
+    for mono, c in p.items():
+        words, d, nums = _prepare(op, mono)
+        if den % d:
+            grown = lcm(den, d)
+            f = grown // den
+            for key in out:
+                out[key] *= f
+            den = grown
+        _run(words, nums, mono, out, int(c.numerator) * (common // int(c.denominator)) * (den // d))
+    den *= common
     if den == 1:
         return {key: QQ(v) for key, v in out.items()}
     return {key: QQ(v, den) for key, v in out.items()}
