@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .polys import TriDegree, basis_size
 from .verify import SUITES, Verifier
 
 # Largest --a-max and --t-max accepted. Exact work grows steeply with the
@@ -24,12 +25,29 @@ from .verify import SUITES, Verifier
 # that a typo cannot start a run that does not end.
 RANGE_MAX = 8
 
-# Largest --m accepted. The eigenblocks grow with m as well: at
-# a_max = t_max = 4 the largest has 33,792 monomials at m = 8, 3.0 million
-# at m = 16 and 2.2 billion at m = 40. The bound is on m alone, like
-# RANGE_MAX on the ranges, so m > 8 is refused even where a_max and t_max
-# are small enough to keep the blocks small.
-M_MAX = 8
+
+def largest_block(m: int, a_max: int, t_max: int) -> int:
+    """Dimension of the largest block a report over these ranges builds.
+    The k=1 eigenblocks go up to level max(a_max - 1, t_max), the k=0
+    eigenblocks (and the z-only harmonics) up to degree max(a_max, t_max)
+    + 2, and both grow with the level, so the top one of each is the
+    largest; algebra_relations adds the blocks of total degree <= 3, the
+    largest of which is tri-degree (1, 1, 1)."""
+    t = max(a_max - 1, t_max)
+    k1 = basis_size(m, TriDegree(1, 0, t + 1))
+    if t >= 1:
+        k1 += basis_size(m, TriDegree(0, 1, t - 1))
+    return max(k1, basis_size(m, TriDegree(0, 0, max(a_max, t_max) + 2)),
+               basis_size(m, TriDegree(1, 1, 1)))
+
+
+# Largest block accepted. The blocks grow with m and with the ranges: at
+# a_max = t_max = 4 the largest has 7,296 monomials at m = 8 and 44
+# million at m = 40. The limit is the largest block of m = 8 at
+# a_max = t_max = RANGE_MAX, so every run with m <= 8 is accepted, and a
+# larger m is accepted while the ranges keep its blocks this small
+# (--m 9 --a-max 1 --t-max 1 builds blocks of at most 729).
+BLOCK_MAX = largest_block(8, RANGE_MAX, RANGE_MAX)
 
 
 def run_suite(name: str, m: int, a_max: int, t_max: int,
@@ -175,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator decompositions.",
     )
     parser.add_argument("--m", type=int, default=6,
-                        help=f"number of base variables per series, from 6 to {M_MAX} (default 6)")
+                        help="number of base variables per series, at least 6 (default 6); "
+                             f"with the ranges, no eigenblock may exceed dimension {BLOCK_MAX}")
     parser.add_argument("--a-max", type=int, default=4, dest="a_max",
                         help=f"largest harmonic degree for degree-indexed suites (at most {RANGE_MAX})")
     parser.add_argument("--t-max", type=int, default=4, dest="t_max",
@@ -198,12 +217,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.m < 6:
         parser.error("m must be >= 6 (stable range)")
-    if args.m > M_MAX:
-        parser.error(f"m must be at most {M_MAX}")
     if not 0 <= args.a_max <= RANGE_MAX:
         parser.error(f"a-max must be between 0 and {RANGE_MAX}")
     if not 0 <= args.t_max <= RANGE_MAX:
         parser.error(f"t-max must be between 0 and {RANGE_MAX}")
+    dim = largest_block(args.m, args.a_max, args.t_max)
+    if dim > BLOCK_MAX:
+        parser.error(f"m={args.m}, a-max={args.a_max}, t-max={args.t_max} need an eigenblock "
+                     f"of dimension {dim}, above the limit {BLOCK_MAX}")
     if args.jobs < 1:
         parser.error("jobs must be >= 1")
     # canonical order, no duplicates

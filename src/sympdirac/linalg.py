@@ -18,30 +18,28 @@ leading entries, then strip the gcd, so coefficients stay small):
   later pivot column from each pivot row, so each row keeps only its own
   pivot column and free columns.
 
-Rationals are formed only from the reduced rows, one division per output
-entry: RREF rows are divided by their leads, and a nullspace basis vector
-takes -row[f] / row[pivot] in each pivot column.
+The nullspace basis is read off the reduced rows on integers too, so a
+rational is formed only where a caller reads one: RREF rows (each reduced
+row divided by its lead) and rational matrix columns, both on first read.
 
-Subspace bases are kept in reduced row echelon form, which is unique per
-subspace, so equality of subspaces is literal equality of bases. The
-nullspace eliminates with the column order reversed, which makes every
-pivot column larger than the free columns of its row; the basis read off
-the reduced rows is then already the canonical RREF basis with respect to
-the original order.
+A Subspace holds its pivot columns and its reduced rows as primitive
+integer rows (gcd 1, positive pivot entry). That form is as canonical as
+the RREF, so equality of subspaces is literal equality of those rows; the
+rational RREF rows are formed on first read. The nullspace eliminates with
+the column order reversed, which makes every pivot column larger than the
+free columns of its row; the basis read off the reduced rows is then
+already the canonical basis with respect to the original order.
 
-Large rank checks can optionally be certified modulo a big prime first:
-rank mod p is a lower bound for rank over Q, and the checks here always
-pair it with a matching upper bound (row count), so a successful
-certificate is exact, not approximate. Anything inconclusive falls back
-to exact integer elimination.
+Spans, ranks and membership tests take vectors with int or rational
+entries. Integer vectors are used as they are; a rational one has its
+denominators cleared first. Every rank is the exact rank of integer
+elimination.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .rationals import QQ
 from .polys import Block, add_scaled, monomial_poly, render_poly
@@ -62,31 +60,29 @@ class ImageOutsideCodomain(Exception):
 # ---------------------------------------------------------------------------
 # integer row utilities
 
-def to_int_row(row: Row) -> IntRow:
-    """Clear denominators and strip content; sign of the first entry in
-    column order is made positive for determinism. Entries may be ints,
-    Fractions or mpqs: all three carry numerator and denominator."""
+def _clear(row: Row) -> Tuple[int, IntRow]:
+    """(D, D * row as integers), D the lcm of the entries' denominators;
+    zero entries are dropped. A row of nonzero ints is returned as it is."""
+    if all(type(c) is int and c for c in row.values()):
+        return 1, row
+    den = lcm(1, *{c.denominator for c in row.values()})
+    return den, {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
+
+
+def _primitive(row: IntRow) -> IntRow:
+    """row over the gcd of its entries, signed so that the entry in its
+    least column is positive."""
     if not row:
-        return {}
-    den = 1
-    for c in row.values():
-        d = int(c.denominator)
-        if d != 1:
-            den = den * d // gcd(den, d)
-    out = {}
-    g = 0
-    for col, c in row.items():
-        v = int(c.numerator) * (den // int(c.denominator))
-        if v:
-            out[col] = v
-            g = gcd(g, v)
-    if not out:
-        return {}
-    if g > 1:
-        out = {col: v // g for col, v in out.items()}
-    if out[min(out)] < 0:
-        out = {col: -v for col, v in out.items()}
-    return out
+        return row
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def to_int_row(row: Row) -> IntRow:
+    """The primitive integer multiple of row (see _primitive)."""
+    return _primitive(_clear(row)[1])
 
 
 def _combine(row: IntRow, lead: int, piv: IntRow, piv_lead: int) -> IntRow:
@@ -147,81 +143,96 @@ def _reduce_back(pivots: List[Tuple[int, IntRow]]) -> List[Tuple[int, IntRow]]:
     return out
 
 
-def _rref_rows(int_rows: List[IntRow], ncols: int) -> Tuple[List[int], List[Row]]:
-    """Canonical RREF: pivot columns strictly increasing, pivot entries 1,
-    pivot columns cleared in all other rows."""
-    pivots = _reduce_back(_echelon(int_rows, ncols))
-    cols = [col for col, _ in pivots]
-    rows = [{c: QQ(v, row[col]) for c, v in row.items()} for col, row in pivots]
-    return cols, rows
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
 class Subspace:
-    """A subspace of Q^n held as its canonical RREF basis.
+    """A subspace of Q^n held as its pivot columns and reduced rows.
 
-    rows[i] is a sparse vector with leading 1 at pivots[i]; pivots are
-    strictly increasing. Two Subspace objects are equal iff they are the
-    same subspace, because the RREF basis is unique.
+    int_rows[i] is a primitive integer row (gcd 1) with a positive entry
+    at pivots[i], which is its least column, and zeros at every other
+    pivot; pivots are strictly increasing. These rows are unique per
+    subspace, so two Subspace objects are equal iff they are the same
+    subspace. rows gives the RREF basis (pivot entries 1), formed on first
+    read.
 
     A subspace produced as a nullspace remembers the matrix it annihilates;
     membership tests then reduce to an exact sparse matrix-vector product
     on the matrix's integer form.
     """
 
-    def __init__(self, ambient: int, pivots: List[int], rows: List[Row],
+    def __init__(self, ambient: int, pivots: List[int], int_rows: List[IntRow],
                  annihilator: Optional["RationalMatrix"] = None):
         self.ambient = ambient
         self.pivots = pivots
-        self.rows = rows
+        self.int_rows = int_rows
         self.annihilator = annihilator
         self._row_of = {p: i for i, p in enumerate(pivots)}
+        self._rows: Optional[List[Row]] = None
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Row]) -> "Subspace":
-        int_rows = [to_int_row(v) for v in vectors]
+        int_rows = [_clear(v)[1] for v in vectors]
         for row in int_rows:
             for c in row:
                 if not 0 <= c < ambient:
                     raise AmbientMismatch(f"coordinate {c} outside ambient dimension {ambient}")
-        pivots, rows = _rref_rows(int_rows, ambient)
-        return cls(ambient, pivots, rows)
+        pivots = _reduce_back(_echelon(int_rows, ambient))
+        return cls(ambient, [col for col, _ in pivots], [_primitive(row) for _, row in pivots])
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, list(range(ambient)), [{i: QQ(1)} for i in range(ambient)])
+        return cls(ambient, list(range(ambient)), [{i: 1} for i in range(ambient)])
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> List[Row]:
+        if self._rows is None:
+            self._rows = [{c: QQ(v, row[p]) for c, v in row.items()}
+                          for p, row in zip(self.pivots, self.int_rows)]
+        return self._rows
+
+    def _residual(self, vec: IntRow) -> Tuple[IntRow, int]:
+        """(w, s) with w / s equal to vec minus its projection along the
+        pivot columns, s > 0. A reduced row is zero at every other pivot,
+        so each pivot entry of vec is cleared once, by its own row."""
+        w, s = vec, 1
+        for c in vec:
+            i = self._row_of.get(c)
+            if i is not None:
+                row = self.int_rows[i]
+                lead, f = row[c], w[c]
+                g = gcd(lead, f)
+                a = lead // g
+                w = {k: v * a for k, v in w.items()} if a != 1 else dict(w)
+                add_scaled(w, row, -(f // g))
+                s *= a
+        return w, s
 
     def reduce(self, vec: Row) -> Row:
-        """Subtract the projection onto this subspace along pivot columns.
-        An RREF row is zero in every other pivot column, so each pivot
-        entry of vec is cleared once, by its own row."""
-        v = dict(vec)
-        for c, f in vec.items():
-            i = self._row_of.get(c)
-            if i is not None and f:
-                add_scaled(v, self.rows[i], -f)
-        return v
+        """Subtract the projection onto this subspace along pivot columns."""
+        den, iv = _clear(vec)
+        w, s = self._residual(iv)
+        return {c: QQ(v, den * s) for c, v in w.items()}
 
     def contains(self, vec: Row) -> bool:
         for c in vec:
             if not 0 <= c < self.ambient:
                 raise AmbientMismatch(f"coordinate {c} outside ambient dimension {self.ambient}")
+        iv = _clear(vec)[1]
         if self.annihilator is not None:
-            return not self.annihilator.mul_int_vec(to_int_row(vec))
-        return not self.reduce(vec)
+            return not self.annihilator.mul_int_vec(iv)
+        return not self._residual(iv)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"ambient {self.ambient} vs {other.ambient}")
-        return self.pivots == other.pivots and self.rows == other.rows
+        return self.pivots == other.pivots and self.int_rows == other.int_rows
 
     def __hash__(self):  # pragma: no cover
         return hash((self.ambient, tuple(self.pivots)))
@@ -235,19 +246,14 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     vector sum alpha_i a_i with sum alpha_i a_i - sum beta_j b_j = 0."""
     if a.ambient != b.ambient:
         raise AmbientMismatch(f"ambient {a.ambient} vs {b.ambient}")
-    cols: List[Row] = []
-    for row in a.rows:
-        cols.append(dict(row))
-    for row in b.rows:
-        cols.append({c: -v for c, v in row.items()})
-    stacked = RationalMatrix.from_columns(a.ambient, cols)
-    combos = stacked.nullspace()
-    vectors: List[Row] = []
-    for combo in combos.rows:
-        vec: Row = {}
+    cols = a.int_rows + [{c: -v for c, v in row.items()} for row in b.int_rows]
+    combos = RationalMatrix.from_integer_form(a.ambient, len(cols), 1, cols).nullspace()
+    vectors: List[IntRow] = []
+    for combo in combos.int_rows:
+        vec: IntRow = {}
         for i, f in combo.items():
             if i < a.dim:
-                add_scaled(vec, a.rows[i], f)
+                add_scaled(vec, a.int_rows[i], f)
         vectors.append(vec)
     return Subspace.from_vectors(a.ambient, vectors)
 
@@ -261,10 +267,10 @@ class RationalMatrix:
     rational columns are formed on first read."""
 
     def __init__(self, nrows: int, ncols: int, columns: List[Row]):
-        den = lcm(1, *{int(v.denominator) for col in columns for v in col.values()})
+        den = lcm(1, *{v.denominator for col in columns for v in col.values()})
         self.nrows = nrows
         self.ncols = ncols
-        self._integer_form = (den, [{r: int(v.numerator) * (den // int(v.denominator))
+        self._integer_form = (den, [{r: v.numerator * (den // v.denominator)
                                      for r, v in col.items()} for col in columns])
         self._columns: Optional[List[Row]] = columns
 
@@ -278,10 +284,6 @@ class RationalMatrix:
         mat._integer_form = (den, columns)
         mat._columns = None
         return mat
-
-    @classmethod
-    def from_columns(cls, nrows: int, columns: Sequence[Row]) -> "RationalMatrix":
-        return cls(nrows, len(columns), [dict(c) for c in columns])
 
     @property
     def columns(self) -> List[Row]:
@@ -307,20 +309,30 @@ class RationalMatrix:
         return out
 
     def nullspace(self) -> Subspace:
-        """Canonical RREF basis of {v : M v = 0}, see module docstring: the
+        """Canonical basis of {v : M v = 0}, see module docstring: the
         basis vector of free column f is 1 at f and -row[f] / row[p] at
-        the pivot p of each reduced row."""
-        int_rows = [to_int_row(r) for r in _transpose(self._integer_form[1], self.nrows) if r]
+        the pivot p of each reduced row, here scaled by the lcm of those
+        denominators, which makes it primitive with a positive entry at f."""
+        int_rows = [_primitive(r) for r in _transpose(self._integer_form[1], self.nrows) if r]
         pivots = _reduce_back(_echelon(int_rows, self.ncols, reverse=True))
         pivot_cols = {col for col, _ in pivots}
         free_cols = [c for c in range(self.ncols) if c not in pivot_cols]
-        basis: Dict[int, Row] = {f: {f: QQ(1)} for f in free_cols}
-        for col, row in reversed(pivots):
+        # per free column, (pivot, numerator, denominator) of its entries
+        entries: Dict[int, List[Tuple[int, int, int]]] = {f: [] for f in free_cols}
+        for col, row in pivots:
             lead = row[col]
             for f, v in row.items():
                 if f != col:
-                    basis[f][col] = QQ(-v, lead)
-        return Subspace(self.ncols, free_cols, [basis[f] for f in free_cols], annihilator=self)
+                    g = gcd(v, lead)
+                    entries[f].append((col, -v // g, lead // g))
+        basis: List[IntRow] = []
+        for f in free_cols:
+            den = lcm(1, *(d for _, _, d in entries[f]))
+            vec = {f: den}
+            for col, n, d in entries[f]:
+                vec[col] = n * (den // d)
+            basis.append(vec)
+        return Subspace(self.ncols, free_cols, basis, annihilator=self)
 
     def __repr__(self) -> str:
         nnz = sum(len(c) for c in self._integer_form[1])
@@ -392,68 +404,19 @@ def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact rank certificates mod p
-
-_PRIMES = (2147483647, 2147483629, 2147483587)
-_DENSE_LIMIT = 80_000_000  # int64 cells
-
-
-def _rank_modp(int_rows: List[IntRow], ncols: int, p: int) -> int:
-    """Rank of the row span modulo p (a lower bound for the rational rank).
-    Dense numpy elimination; caller keeps sizes inside _DENSE_LIMIT."""
-    nrows = len(int_rows)
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, row in enumerate(int_rows):
-        for c, v in row.items():
-            mat[i, c] = v % p
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        column = mat[rank:, col]
-        nz = np.nonzero(column)[0]
-        if nz.size == 0:
-            continue
-        sel = rank + int(nz[0])
-        if sel != rank:
-            mat[[rank, sel]] = mat[[sel, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        rest = mat[rank + 1 :, col]
-        nzr = np.nonzero(rest)[0]
-        if nzr.size:
-            idx = rank + 1 + nzr
-            mat[idx] = (mat[idx] - np.outer(mat[idx, col], mat[rank])) % p
-        rank += 1
-    return rank
-
+# ranks and direct sums
 
 def rank_certified(vectors: List[Row], ambient: int) -> int:
-    """Exact rank of a list of sparse vectors.
-
-    Tries mod-p certificates first: rank mod p equals the row count only if
-    the rational rank does too, so a full-rank certificate is exact. When
-    the vectors are dependent mod p (or the dense buffer would be too big),
-    falls back to exact integer elimination.
-    """
-    int_rows = [to_int_row(v) for v in vectors if v]
-    if not int_rows:
-        return 0
-    if len(int_rows) * ambient <= _DENSE_LIMIT:
-        for p in _PRIMES:
-            r = _rank_modp(int_rows, ambient, p)
-            if r == len(int_rows):
-                return r
-    return len(_echelon(int_rows, ambient))
+    """Exact rank of a list of sparse vectors, by integer elimination."""
+    return len(_echelon([_clear(v)[1] for v in vectors if v], ambient))
 
 
 def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
     """True iff the parts are independent and their sum is exactly target.
 
-    Checked as: dimensions add up to dim(target), the stacked bases have
-    full rank (mod-p certified, rational fallback), and every basis vector
-    of every part lies in target. All three together force the sum to
-    equal target, with every step exact.
+    Checked as: dimensions add up to dim(target), the stacked integer rows
+    of the parts have full rank, and every one of them lies in target. All
+    three together force the sum to equal target, with every step exact.
     """
     for part in parts:
         if part.ambient != target.ambient:
@@ -461,16 +424,10 @@ def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
     total = sum(part.dim for part in parts)
     if total != target.dim:
         return False
-    stacked: List[Row] = []
-    for part in parts:
-        stacked.extend(part.rows)
+    stacked = [row for part in parts for row in part.int_rows]
     if rank_certified(stacked, target.ambient) != total:
         return False
-    for part in parts:
-        for row in part.rows:
-            if not target.contains(row):
-                return False
-    return True
+    return all(target.contains(row) for row in stacked)
 
 
 # ---------------------------------------------------------------------------

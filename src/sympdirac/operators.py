@@ -243,8 +243,8 @@ class _Compiled:
                     singular.append(j)
                     s = 0
             values.append(s)
-        den = lcm(1, *{int(s.denominator) for s in values})
-        nums = tuple(int(s.numerator) * (den // int(s.denominator)) for s in values)
+        den = lcm(1, *{s.denominator for s in values})
+        nums = tuple(s.numerator * (den // s.denominator) for s in values)
         plan = self.plans[d] = (den, nums, tuple(singular))
         return plan
 
@@ -327,7 +327,7 @@ def apply_op(op: LinearOperator, p: Poly) -> Poly:
     """Exact image of p. p's denominators are cleared once, the images of
     its monomials accumulate on integers over the running lcm of their
     plans' denominators, and each output entry becomes one rational."""
-    common = lcm(1, *{int(c.denominator) for c in p.values()})
+    common = lcm(1, *{c.denominator for c in p.values()})
     out: Dict[Monomial, int] = {}
     den = 1
     for mono, c in p.items():
@@ -338,7 +338,7 @@ def apply_op(op: LinearOperator, p: Poly) -> Poly:
             for key in out:
                 out[key] *= f
             den = grown
-        _run(words, nums, mono, out, int(c.numerator) * (common // int(c.denominator)) * (den // d))
+        _run(words, nums, mono, out, c.numerator * (common // c.denominator) * (den // d))
     den *= common
     if den == 1:
         return {key: QQ(v) for key, v in out.items()}

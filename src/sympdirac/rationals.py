@@ -1,18 +1,15 @@
 """Exact rational scalars.
 
-Everything in this package computes over Q. gmpy2's mpq is used when
-available (it is much faster than fractions.Fraction for the elimination
-work done here); fractions.Fraction is a drop-in fallback. Both types
-expose .numerator/.denominator and hash compatibly with each other and
-with int, which the sparse containers rely on.
+Everything in this package computes over Q, and QQ is
+fractions.Fraction. The hot loops (operator application, elimination,
+spans, ranks and the Casimir certificate) run on Python ints, so a
+rational is formed only where a result is read as one: a polynomial
+coefficient, a report value or a witness.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 
 def qq_str(q) -> str:

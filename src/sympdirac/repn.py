@@ -36,7 +36,7 @@ from .polys import (
     z_,
     _compositions,
 )
-from .linalg import RationalMatrix, Subspace, matrix_of, stack_matrices, to_int_row, vec_to_poly
+from .linalg import RationalMatrix, Subspace, matrix_of, stack_matrices, vec_to_poly
 from .operators import LinearOperator, apply_op, inner_der_der, inner_mul_der
 
 
@@ -205,14 +205,13 @@ def harmonic_space(m: int, a: int) -> Subspace:
     codo_index = {mono: i for i, mono in enumerate(codo)}
     columns = []
     for mono in basis:
-        col: Dict[int, QQ] = {}
+        col: Dict[int, int] = {}
         for i, e in enumerate(mono):
             if e >= 2:
                 tgt = mono[:i] + (e - 2,) + mono[i + 1:]
-                col[codo_index[tgt]] = QQ(e * (e - 1))
+                col[codo_index[tgt]] = e * (e - 1)
         columns.append(col)
-    mat = RationalMatrix(len(codo), len(basis), columns)
-    return mat.nullspace()
+    return RationalMatrix.from_integer_form(len(codo), len(basis), 1, columns).nullspace()
 
 
 def harmonic_polys(m: int, a: int) -> List[Dict[Tuple[int, ...], QQ]]:
@@ -316,19 +315,18 @@ def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspa
     weight w; on failure the first offending vector rides along.
 
     With D clearing the matrix's denominators (its integer form, which
-    matrix_of builds, kept with the Casimir operator), the scalar p/q and
-    r a vector with its denominators cleared, M r = (p/q) r is tested as
-    q (D M) r == p D r, on integers."""
+    matrix_of builds, kept with the Casimir operator) and the scalar p/q,
+    M r = (p/q) r is tested as q (D M) r == p D r on each integer row r
+    of sub."""
     expected = casimir_scalar(block.m, w)
-    p, q = int(expected.numerator), int(expected.denominator)
+    p, q = expected.numerator, expected.denominator
     mat = casimir_matrix(cat, block)
     den = mat.integer_form()[0]
-    for row in sub.rows:
-        r = to_int_row(row)
+    for i, r in enumerate(sub.int_rows):
         residual = mat.mul_int_vec(r, q)
         add_scaled(residual, r, -p * den)
         if residual:
-            return CasimirCheck(False, expected, vec_to_poly(row, block))
+            return CasimirCheck(False, expected, vec_to_poly(sub.rows[i], block))
     return CasimirCheck(True, expected)
 
 

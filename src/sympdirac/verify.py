@@ -4,7 +4,7 @@ Everything the harness certifies is an exact statement about one finite
 eigenblock: the joint eigenspace in P(R^{m x 3}) of the (x,y)-degree k
 and of the grading operator script-E with eigenvalue m/2 + t. Suites
 construct the advertised subspaces explicitly, compute kernels as exact
-nullspaces, and check direct-sum decompositions with certified ranks.
+nullspaces, and check direct-sum decompositions with exact ranks.
 
 Check rows carry their parameters and both sides of every comparison, so
 a report can be replayed; failures carry a witness in canonical
@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .rationals import QQ, qq_str
 from .polys import (
     Block,
+    Monomial,
     Poly,
     TriDegree,
     add_scaled,
@@ -32,6 +33,7 @@ from .polys import (
     tri_degrees_of_total,
 )
 from .linalg import (
+    IntRow,
     RationalMatrix,
     Subspace,
     is_direct_sum,
@@ -39,6 +41,7 @@ from .linalg import (
     poly_to_vec,
     rank_certified,
     stack_matrices,
+    to_int_row,
     vec_to_poly,
 )
 from .operators import (
@@ -47,6 +50,7 @@ from .operators import (
     catalog,
     commutator,
     identity_op,
+    integer_image,
     normal_form,
     op_add,
     op_scale,
@@ -119,6 +123,19 @@ def _row(name: str, params: Dict[str, object], expected, actual, witness=None) -
     return CheckResult(name, params, e, a, e == a and witness is None, witness)
 
 
+def _nonzero_images(op: LinearOperator, monos: Sequence[Monomial]) -> Tuple[int, Optional[Monomial]]:
+    """How many of monos op does not send to 0, and the first of them.
+    Runs on the operator's integer images; no rational is formed."""
+    bad = 0
+    first = None
+    for mono in monos:
+        if integer_image(op, mono)[0]:
+            bad += 1
+            if first is None:
+                first = mono
+    return bad, first
+
+
 class Verifier:
     """Caches eigenblocks, D_s and L matrices, kernels and family
     constructions for one operator catalog. A fresh catalog (for instance
@@ -184,13 +201,14 @@ class Verifier:
             self._lws[key] = stacked.nullspace()
         return self._lws[key]
 
-    # -- conversions
+    # -- conversions: spans and membership do not change when a vector is
+    # scaled, so family vectors are kept as primitive integer rows
 
-    def to_vecs(self, polys: Sequence[Poly], eb: EigenBlock) -> List[Dict[int, QQ]]:
-        return [poly_to_vec(p, eb.block) for p in polys if p]
+    def to_vecs(self, polys: Sequence[Poly], eb: EigenBlock) -> List[IntRow]:
+        return [to_int_row(poly_to_vec(p, eb.block)) for p in polys if p]
 
-    def revec(self, space: Subspace, from_block: Block, eb: EigenBlock) -> List[Dict[int, QQ]]:
-        return [poly_to_vec(vec_to_poly(row, from_block), eb.block) for row in space.rows]
+    def revec(self, space: Subspace, from_block: Block, eb: EigenBlock) -> List[IntRow]:
+        return [poly_to_vec(vec_to_poly(row, from_block), eb.block) for row in space.int_rows]
 
     def span(self, vecs: Sequence[Dict[int, QQ]], eb: EigenBlock) -> Subspace:
         return Subspace.from_vectors(eb.block.dim, vecs)
@@ -215,7 +233,7 @@ class Verifier:
 
         if a >= 3:
             blk, sp = simplicial_harmonics(m, a - 2, 1, "z", "y")
-            raw = [vec_to_poly(row, blk) for row in sp.rows]
+            raw = [vec_to_poly(row, blk) for row in sp.int_rows]
             fam["hook_y_raw"] = self.to_vecs(raw, eb)
             fam["hook_y"] = self.to_vecs([apply_op(cat["Pi_L"], p) for p in raw], eb)
             raw_c = [apply_op(cat["C_yz"], h) for h in harmonic_polys_embedded(m, a - 3)]
@@ -227,8 +245,8 @@ class Verifier:
         # the split over H_{a-1}: per harmonic H the two vectors
         # C_xz H and Pi_L S_yz H carry one kernel direction and one
         # D_s_dag-image direction between them
-        kernel_combos: List[Dict[int, QQ]] = []
-        image_vecs: List[Dict[int, QQ]] = []
+        kernel_combos: List[IntRow] = []
+        image_vecs: List[IntRow] = []
         ratios = set()
         if a >= 1:
             k0 = self.eigenblock(0, a - 1)
@@ -246,10 +264,10 @@ class Verifier:
                         ratios.add((qq_str(c1), qq_str(c2)))
                         merged = poly_scale(v1, c1)
                         add_scaled(merged, v2, c2)
-                        kernel_combos.append(poly_to_vec(merged, eb.block))
+                        kernel_combos.append(to_int_row(poly_to_vec(merged, eb.block)))
                     else:
                         ratios.add(("degenerate", str(null.dim)))
-                image_vecs.append(poly_to_vec(apply_op(cat["D_s_dag"], h), eb.block))
+                image_vecs.append(to_int_row(poly_to_vec(apply_op(cat["D_s_dag"], h), eb.block)))
         fam["split_kernel"] = kernel_combos
         fam["split_image"] = image_vecs
         fam["split_ratios"] = tuple(sorted(ratios))
@@ -314,12 +332,11 @@ class Verifier:
             for d in tri_degrees_of_total(total):
                 blk = Block(m, [d])
                 for name, _, op in triples:
-                    for mono in blk.basis:
-                        res = apply_op(op, monomial_poly(mono))
-                        if res:
-                            bad += 1
-                            if wit is None:
-                                wit = f"{name} on {render_poly(monomial_poly(mono))}: {render_poly(res)}"
+                    n, first = _nonzero_images(op, blk.basis)
+                    bad += n
+                    if wit is None and first is not None:
+                        p = monomial_poly(first)
+                        wit = f"{name} on {render_poly(p)}: {render_poly(apply_op(op, p))}"
         rows.append(_row("triples_extensional_deg_le_3", {"max_degree": 3}, 0, bad, wit))
 
         bad = 0
@@ -331,11 +348,10 @@ class Verifier:
             for d in tri_degrees_of_total(total):
                 blk = Block(m, [d])
                 for lab, target, op in sampled:
-                    for mono in blk.basis:
-                        if apply_op(op, monomial_poly(mono)):
-                            bad += 1
-                            if wit is None:
-                                wit = f"[{lab}, {target}] on {render_poly(monomial_poly(mono))}"
+                    n, first = _nonzero_images(op, blk.basis)
+                    bad += n
+                    if wit is None and first is not None:
+                        wit = f"[{lab}, {target}] on {render_poly(monomial_poly(first))}"
         rows.append(_row("sp_extensional_deg_le_2", {"sampled_generators": len(sample)}, 0, bad, wit))
         return rows
 
@@ -377,21 +393,21 @@ class Verifier:
             rows.append(_row("kernel_L_dim", {"a": a, "block_dim": eb.block.dim},
                              expected_dim, ker.dim))
 
-            xs: List[Dict[int, QQ]] = []
+            xs: List[IntRow] = []
             for h in harmonic_polys_embedded(m, a):
                 for j in range(m):
-                    xs.append(poly_to_vec({(tuple(1 if i == j else 0 for i in range(m)) + mono[m:]): c
-                                           for mono, c in h.items()}, eb.block))
+                    xs.append(to_int_row(poly_to_vec({(tuple(1 if i == j else 0 for i in range(m)) + mono[m:]): c
+                                                      for mono, c in h.items()}, eb.block)))
             bad = sum(1 for v in xs if not ker.contains(v))
             rows.append(_row("x_harmonics_in_kernel", {"a": a, "vectors": len(xs)}, 0, bad))
 
-            ys: List[Dict[int, QQ]] = []
+            ys: List[IntRow] = []
             if a >= 2:
                 for h in harmonic_polys_embedded(m, a - 2):
                     for j in range(m):
                         yh = {(mono[:m] + tuple(1 if i == j else 0 for i in range(m)) + mono[2 * m:]): c
                               for mono, c in h.items()}
-                        ys.append(poly_to_vec(apply_op(cat["Pi_L"], yh), eb.block))
+                        ys.append(to_int_row(poly_to_vec(apply_op(cat["Pi_L"], yh), eb.block)))
                 bad = sum(1 for v in ys if not ker.contains(v))
                 rows.append(_row("projected_y_harmonics_in_kernel", {"a": a, "vectors": len(ys)}, 0, bad))
 
@@ -415,7 +431,7 @@ class Verifier:
                 break
             ker = self.kernel_L(k, level)
             vecs = []
-            for row in ker.rows:
+            for row in ker.int_rows:
                 p = vec_to_poly(row, low.block)
                 for _ in range(j):
                     p = apply_op(self.cat["R"], p)
@@ -471,13 +487,8 @@ class Verifier:
             rows.append(_row("symplectic_fischer_sum", {"a": a, "dim": eb.block.dim,
                                                         "kernel": ker.dim,
                                                         "image": k0.block.dim}, True, ok))
-            bad = 0
-            wit = None
-            for mono in eb.block.basis:
-                if apply_op(bracket, monomial_poly(mono)):
-                    bad += 1
-                    if wit is None:
-                        wit = render_poly(monomial_poly(mono))
+            bad, first = _nonzero_images(bracket, eb.block.basis)
+            wit = None if first is None else render_poly(monomial_poly(first))
             rows.append(_row("bracket_on_block", {"a": a, "dim": eb.block.dim}, 0, bad, wit))
         return rows
 
@@ -603,11 +614,11 @@ class Verifier:
                                  dim_weight(m, w), span.dim))
                 bad = 0
                 wit = None
-                for row in span.rows:
+                for i, row in enumerate(span.int_rows):
                     if not lws.contains(row):
                         bad += 1
                         if wit is None:
-                            wit = _short_poly(vec_to_poly(row, eb.block))
+                            wit = _short_poly(vec_to_poly(span.rows[i], eb.block))
                 rows.append(_row("component_in_lws", {"t": t, "weight": str(w)}, 0, bad, wit))
                 chk = casimir_eigencheck(cat, eb.block, span, w)
                 rows.append(_row("component_casimir", {"t": t, "weight": str(w),

@@ -17,6 +17,7 @@ from sympdirac.operators import (
     identity_op,
     inner_der_der,
     inner_mul_der,
+    integer_image,
     op_add,
     op_scale,
     op_sub,
@@ -104,8 +105,7 @@ def test_criterion_01_algebra_relations(ver, suite_cache):
     first = None
     for label, res in residuals:
         for mono in monos:
-            out = apply_op(res, monomial_poly(mono))
-            if out:
+            if integer_image(res, mono)[0]:
                 bad_vectors += 1
                 if first is None:
                     first = f"{label} on {render_poly(monomial_poly(mono))}"

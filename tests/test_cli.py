@@ -59,15 +59,53 @@ def test_m_above_limit_rejected(monkeypatch, capsys):
         raise RuntimeError("stub report")
 
     monkeypatch.setattr(cli, "build_report", no_report)
+    # an oversized block is refused, with its dimension and the limit
+    dim = cli.largest_block(9, cli.RANGE_MAX, cli.RANGE_MAX)
+    assert dim > cli.BLOCK_MAX
     with pytest.raises(SystemExit) as exc:
-        cli.run(["--m", str(cli.M_MAX + 1)])
+        cli.run(["--m", "9", "--a-max", str(cli.RANGE_MAX), "--t-max", str(cli.RANGE_MAX)])
     assert exc.value.code == 2
-    assert f"m must be at most {cli.M_MAX}" in capsys.readouterr().err
+    assert f"dimension {dim}, above the limit {cli.BLOCK_MAX}" in capsys.readouterr().err
     assert not started
-    # the limit itself is accepted and reaches the report
-    with pytest.raises(RuntimeError, match="stub report"):
-        cli.run(["--m", str(cli.M_MAX)])
-    assert started[0][0] == cli.M_MAX
+    # every run with m <= 8 is accepted, the largest one is the limit itself
+    assert cli.largest_block(8, cli.RANGE_MAX, cli.RANGE_MAX) == cli.BLOCK_MAX
+    # a larger m with small ranges reaches the report
+    for argv in (["--m", "8", "--a-max", str(cli.RANGE_MAX), "--t-max", str(cli.RANGE_MAX)],
+                 ["--m", "9", "--a-max", "1", "--t-max", "1"]):
+        with pytest.raises(RuntimeError, match="stub report"):
+            cli.run(argv)
+    assert [args[:3] for args in started] == [(8, cli.RANGE_MAX, cli.RANGE_MAX), (9, 1, 1)]
+
+
+def test_largest_block_is_the_largest_block_built(monkeypatch):
+    from sympdirac import cli, polys
+    from sympdirac.verify import SUITES
+
+    built = []
+    init = polys.Block.__init__
+
+    def recording_init(self, m, tri_degrees):
+        init(self, m, tri_degrees)
+        built.append(self.dim)
+
+    monkeypatch.setattr(polys.Block, "__init__", recording_init)
+    no_relations = [s for s in SUITES if s != "algebra_relations"]
+    for a_max, t_max, suites in ((0, 0, list(SUITES)), (3, 1, no_relations), (1, 3, no_relations)):
+        built.clear()
+        cli.build_report(6, a_max, t_max, suites)
+        assert max(built) == cli.largest_block(6, a_max, t_max)
+
+
+def test_import_needs_no_numpy():
+    # the package runs on the standard library alone; numpy would add
+    # about 90 ms to every start
+    code = ("import fractions, sys; import sympdirac.cli; from sympdirac import rationals; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'; "
+            "assert rationals.QQ is fractions.Fraction")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_unknown_suite_rejected():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -125,6 +126,74 @@ def test_is_direct_sum():
     wrong_target = Subspace.from_vectors(amb, [e(i) for i in (0, 1, 2, 3)])
     d = Subspace.from_vectors(amb, [e(4)])
     assert not is_direct_sum([a, b, d], wrong_target)  # sum has right dim, wrong space
+
+
+def test_span_is_the_same_from_rational_and_scaled_integer_vectors():
+    rng = random.Random(808)
+    for _ in range(60):
+        n = rng.randint(2, 25)
+        vecs = [{c: QQ(rng.randint(-7, 7), rng.randint(1, 6)) for c in rng.sample(range(n), rng.randint(1, n))}
+                for _ in range(rng.randint(1, 10))]
+        vecs = [{c: v for c, v in vec.items() if v} for vec in vecs]
+        # each vector cleared to integers and scaled by its own integer
+        scaled = []
+        for vec in vecs:
+            den = 1
+            for v in vec.values():
+                den = den * v.denominator // gcd(den, v.denominator)
+            f = rng.choice([1, -1, 2, -3, 12, 2**70 + 1])
+            scaled.append({c: int(v * den) * f for c, v in vec.items()})
+        a = Subspace.from_vectors(n, vecs)
+        b = Subspace.from_vectors(n, scaled)
+        assert all(type(v) is int for row in scaled for v in row.values())
+        assert a == b
+        assert (a.pivots, a.rows) == (b.pivots, b.rows) == dense_rref(vecs, n)
+        assert rank_certified(scaled, n) == rank_certified(vecs, n) == a.dim
+        for vec, big in zip(vecs, scaled):
+            assert a.contains(big) and b.contains(vec)
+        # same pivots, different span
+        if a.dim and len(a.int_rows[0]) > 1:
+            moved = {c: v * (2 if c == a.pivots[0] else 1) for c, v in a.int_rows[0].items()}
+            other = Subspace.from_vectors(n, [moved] + a.int_rows[1:])
+            assert other.pivots == a.pivots and other != a
+        # integer rows: primitive, positive at the pivot, the pivot least
+        for p, row in zip(a.pivots, a.int_rows):
+            assert min(row) == p and row[p] > 0
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1
+
+
+def test_rank_and_direct_sum_on_big_integer_rows():
+    big = 2**64 + 13
+    huge = 3**50
+    n = 7
+    u = {0: big, 2: -huge, 5: 1}
+    v = {1: huge, 2: big * huge, 6: -big}
+    w = {0: 2 * big * huge, 1: -3 * huge * big, 2: -2 * huge * huge - 3 * big * huge * big,
+         5: 2 * huge, 6: 3 * big * big}  # 2*huge*u - 3*big*v, dependent over Q
+    assert rank_certified([u, v, w], n) == 2
+    assert rank_certified([u, v, {3: big}], n) == 3
+    # the same rows as rationals give the same rank
+    assert rank_certified([{c: QQ(x, big) for c, x in r.items()} for r in (u, v, w)], n) == 2
+    a = Subspace.from_vectors(n, [u])
+    b = Subspace.from_vectors(n, [v])
+    c = Subspace.from_vectors(n, [w])
+    target = Subspace.from_vectors(n, [u, v])
+    assert target.dim == 2 and target.contains(w)
+    assert is_direct_sum([a, b], target)
+    assert is_direct_sum([a, c], target)
+    assert not is_direct_sum([a, b, c], target)          # dimensions do not add up
+    assert not is_direct_sum([a, b], Subspace.from_vectors(n, [u, {3: big}]))  # v outside
+    # the dependence survives as a failed rank on a target of the right size
+    assert not is_direct_sum([b, c, Subspace.from_vectors(n, [{c: 2 * huge * x for c, x in u.items()}])],
+                             Subspace.from_vectors(n, [u, v, {3: 1}]))
+    # kernel membership on integer rows above 2**64: the columns of the
+    # matrix are u, v and w, so (2*huge, -3*big, -1) is in its kernel
+    mat = RationalMatrix(n, 3, [{r: QQ(x) for r, x in col.items()} for col in (u, v, w)])
+    ker = mat.nullspace()
+    assert ker.dim == 1
+    assert ker.contains({0: 2 * huge, 1: -3 * big, 2: -1})
+    assert not ker.contains({0: 2 * huge, 1: -3 * big, 2: 1})
 
 
 def test_matrix_entry_and_image():
