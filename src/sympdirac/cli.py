@@ -227,6 +227,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                      f"of dimension {dim}, above the limit {BLOCK_MAX}")
     if args.jobs < 1:
         parser.error("jobs must be >= 1")
+    if args.out:
+        # fail before the run, not after it; append mode leaves a file alone
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     # canonical order, no duplicates
     ordered = [s for s in SUITES if not args.suite or s in args.suite]
     report = build_report(args.m, args.a_max, args.t_max, ordered, jobs=args.jobs)

@@ -10,9 +10,13 @@ transvector generators) are stored with the scalar pre-shifted to input
 form, so application stays single-pass.
 
 Composition is lazy: term lists are concatenated and scalars get degree
-shifts. Identities between operators are certified symbolically by the
-Weyl-algebra normal form at the end of this module, for operators without
-Euler denominators, and spot-checked extensionally on low-degree blocks.
+shifts. Identities between operators without Euler denominators are
+certified symbolically by the Weyl-algebra normal form at the end of this
+module, and spot-checked extensionally on low-degree blocks. The normal
+form of an operator is built once per m, on integers over one
+denominator, and cached on the operator like its compiled form; products
+and brackets of normal forms come from one Leibniz step, so a symbolic
+certificate composes no operator.
 
 Application runs a compiled form of the operator, built on first use for
 each m and stored on the operator, keyed by m and by the `terms` tuple it
@@ -33,16 +37,17 @@ raised on every call on which such a word hits the monomial, so Pi_L is
 defined where L already kills. Application then runs on integers, and a
 rational is formed only where a result leaves this layer: apply_op forms
 one per output entry, and matrix_of (linalg) takes the integer images
-with their D. The compiled path and the normal form share no helper, so
-the extensional and symbolic certificates stay independent checks of each
-other.
+with their D. The compiled path and the normal form share no helper, and
+only the extensional checks apply composed operators, so the extensional
+and symbolic certificates share neither a helper nor `compose` and stay
+independent checks of each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .rationals import QQ
@@ -52,8 +57,10 @@ from .polys import (
     TriDegree,
     VariableId,
     VarBlock,
+    add_scaled,
     poly_add_term,
     tri_degree_of,
+    var_at,
     x_,
     y_,
     z_,
@@ -178,8 +185,8 @@ class LinearOperator:
     def __init__(self, label: str, terms: Iterable[OperatorTerm]):
         self.label = label
         self.terms: Tuple[OperatorTerm, ...] = tuple(terms)
-        # (the terms tuple compiled, {m: compiled form}), see _compiled
-        self._compiled: Optional[Tuple[Tuple[OperatorTerm, ...], Dict[int, "_Compiled"]]] = None
+        # (the terms tuple they were built from, {m: compiled form}, {m: normal form})
+        self._forms: Optional[Tuple[Tuple[OperatorTerm, ...], Dict[int, "_Compiled"], Dict[int, "NormalForm"]]] = None
 
     def relabel(self, label: str) -> "LinearOperator":
         return LinearOperator(label, self.terms)
@@ -262,16 +269,13 @@ def _least_block_degrees(offsets: Tuple[Tuple[int, int], ...], m: int) -> Tuple[
     return tuple(out)
 
 
-def _compiled(op: LinearOperator, m: int) -> _Compiled:
-    """The compiled form of op at m, rebuilt whenever op.terms is no longer
-    the tuple it was compiled from."""
-    cache = op._compiled
+def _forms(op: LinearOperator, slot: int) -> Dict:
+    """op's {m: compiled form} (slot 1) or {m: normal form} (slot 2),
+    emptied whenever op.terms is no longer the tuple they were built from."""
+    cache = op._forms
     if cache is None or cache[0] is not op.terms:
-        cache = op._compiled = (op.terms, {})
-    comp = cache[1].get(m)
-    if comp is None:
-        comp = cache[1][m] = _Compiled(op.terms, m)
-    return comp
+        cache = op._forms = (op.terms, {}, {})
+    return cache[slot]
 
 
 def _prepare(op: LinearOperator, mono: Monomial) -> Tuple[Tuple[Word, ...], int, Tuple[int, ...]]:
@@ -279,7 +283,11 @@ def _prepare(op: LinearOperator, mono: Monomial) -> Tuple[Tuple[Word, ...], int,
     Raises SingularEulerDenominator if a word whose denominator vanishes
     there hits mono, on every call."""
     d = tri_degree_of(mono)  # raises ValueError unless len(mono) == 3m
-    comp = _compiled(op, len(mono) // 3)
+    m = len(mono) // 3
+    compiled = _forms(op, 1)
+    comp = compiled.get(m)
+    if comp is None:
+        comp = compiled[m] = _Compiled(op.terms, m)
     den, nums, singular = comp.plan(d, op.label)
     for j in singular:
         if all(mono[i] + k for i, k in comp.words[j][0]):
@@ -619,82 +627,101 @@ def catalog(m: int) -> Dict[str, LinearOperator]:
 # ---------------------------------------------------------------------------
 # Weyl-algebra normal form
 #
-# Operators whose coefficients are polynomial (no Euler denominators) can
-# be reduced to a canonical normal form: every term becomes a word with
-# all derivatives applied before all multiplications, and like words are
-# combined. The zero normal form is then equivalent to the operator
-# vanishing on every graded block at once, which is how the big batches
-# of commutation relations are certified without touching any basis.
+# The normal form of an operator without Euler denominators is the sum of
+# its words x^muls d^ders (all derivatives applied first), like words
+# combined; it is empty exactly when the operator vanishes on every block.
+# It is (D, {(derivatives, multiplications): integer}), with sorted flat
+# variable indices as keys and each integer over D, D and the integers
+# coprime. The one rewriting step, d_i x^b = x^b d_i + b_i x^(b - e_i),
+# folds a term's actions onto its Euler numerator and gives the product
+# and the bracket of two normal forms.
 
-def _var_key(v: VariableId):
-    return (v.block.value, v.index)
+NormalForm = Tuple[int, Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]]
 
 
-def plain_words(op: LinearOperator, m: int) -> List[Tuple[object, List[ElementaryAction]]]:
-    """Expand an operator into (coefficient, action word) pairs.
+def _reduced(den: int, table: Dict) -> NormalForm:
+    g = gcd(den, *table.values())
+    return (den, table) if g == 1 else (den // g, {key: v // g for key, v in table.items()})
 
-    Euler numerator factors are expanded into explicit sums of
-    derivative-then-multiply words (they count the output degree, so they
-    are appended after the term's own actions). Euler denominators have
-    no polynomial expansion and raise.
-    """
-    words: List[Tuple[object, List[ElementaryAction]]] = []
+
+def _leibniz(table: Dict, i: int) -> Dict:
+    """The table of d_i applied after table's words, by the Leibniz step."""
+    out: Dict = {}
+    for (ders, muls), v in table.items():
+        poly_add_term(out, (tuple(sorted(ders + (i,))), muls), v)
+        n = muls.count(i)
+        if n:
+            j = muls.index(i)
+            poly_add_term(out, (ders, muls[:j] + muls[j + 1:]), n * v)
+    return out
+
+
+def nf_sum(*parts: Tuple[int, NormalForm]) -> NormalForm:
+    """sum of c * nf over the (integer c, nf) pairs."""
+    den = lcm(1, *(nf[0] for _, nf in parts))
+    out: Dict = {}
+    for c, (d, table) in parts:
+        add_scaled(out, table, c * (den // d))
+    return _reduced(den, out)
+
+
+def nf_product(a: NormalForm, b: NormalForm) -> NormalForm:
+    """The normal form of a applied after b: the derivatives of each word
+    of a are folded onto b's table, then its multiplications join."""
+    out: Dict = {}
+    for (ders, muls), v in a[1].items():
+        table = b[1]
+        for i in ders:
+            table = _leibniz(table, i)
+        for (d, x), w in table.items():
+            poly_add_term(out, (d, tuple(sorted(x + muls))), v * w)
+    return _reduced(a[0] * b[0], out)
+
+
+def nf_bracket(a: NormalForm, b: NormalForm) -> NormalForm:
+    return nf_sum((1, nf_product(a, b)), (-1, nf_product(b, a)))
+
+
+def _cleared(table: Dict) -> NormalForm:
+    """A table with rational values as (D, integer table)."""
+    den = lcm(1, *(QQ(v).denominator for v in table.values()))
+    return den, {key: int(v * den) for key, v in table.items() if v}
+
+
+def normal_form(op: LinearOperator, m: int) -> NormalForm:
+    """op's normal form at m, built on first use and stored on op like its
+    compiled form. A term's Euler numerator is expanded into its normal
+    form, read on the term's input, and the term's actions are folded
+    onto it in application order; Euler denominators raise ValueError."""
+    cache = _forms(op, 2)
+    nf = cache.get(m)
+    if nf is not None:
+        return nf
+    parts = []
     for term in op.terms:
         s = term.scalar
         if s.den:
             raise ValueError(f"{op.label}: Euler denominators have no polynomial normal form")
-        base = [(QQ(s.coeff), list(term.actions))]
-        for form in s.num:
-            a, b, c, d = form
-            grown: List[Tuple[object, List[ElementaryAction]]] = []
-            for coeff, word in base:
-                for cf, mk in ((a, x_), (b, y_), (c, z_)):
-                    if cf:
-                        for i in range(1, m + 1):
-                            grown.append((coeff * QQ(cf), word + [der_(mk(i)), mul_(mk(i))]))
-                if d:
-                    grown.append((coeff * QQ(d), list(word)))
-            base = grown
-        words.extend((coeff, word) for coeff, word in base if coeff)
-    return words
+        part = _cleared({((), ()): s.coeff})
+        for a, b, c, d in s.num:
+            # a Ex + b Ey + c Ez + d = sum_i (a x_i d_{x_i} + ...) + d
+            form = {((i,), (i,)): f for slot, f in enumerate((a, b, c)) for i in range(slot * m, slot * m + m)}
+            form[(), ()] = d
+            part = nf_product(part, _cleared(form))
+        for act in term.actions:
+            i = act.var.flat(m)
+            word = ((i,), ()) if act.kind is ActionKind.DeriveVar else ((), (i,))
+            part = nf_product((1, {word: 1}), part)
+        parts.append((1, part))
+    nf = cache[m] = nf_sum(*parts)
+    return nf
 
 
-NormalForm = Dict[Tuple[Tuple[VariableId, ...], Tuple[VariableId, ...]], object]
-
-
-def normal_form(op: LinearOperator, m: int) -> NormalForm:
-    """Canonical {(derivatives, multiplications): coefficient} table.
-
-    Words are rewritten with [d_v, v] = 1 until every derivative precedes
-    every multiplication in application order; the result is empty exactly
-    when the operator is zero on all of P(R^{m x 3})."""
-    out: NormalForm = {}
-    for coeff, word in plain_words(op, m):
-        stack = [(coeff, word)]
-        while stack:
-            c, w = stack.pop()
-            viol = -1
-            for i in range(len(w) - 1):
-                if w[i].kind is ActionKind.MultiplyVar and w[i + 1].kind is ActionKind.DeriveVar:
-                    viol = i
-                    break
-            if viol < 0:
-                ders = tuple(sorted((a.var for a in w if a.kind is ActionKind.DeriveVar), key=_var_key))
-                muls = tuple(sorted((a.var for a in w if a.kind is ActionKind.MultiplyVar), key=_var_key))
-                poly_add_term(out, (ders, muls), c)
-            else:
-                i = viol
-                swapped = w[:i] + [w[i + 1], w[i]] + w[i + 2:]
-                stack.append((c, swapped))
-                if w[i].var == w[i + 1].var:
-                    stack.append((c, w[:i] + w[i + 2:]))
-    return out
-
-
-def normal_form_op(nf: NormalForm, label: str = "nf") -> LinearOperator:
-    """Rebuild an operator from a normal form (for spot checks)."""
+def normal_form_op(nf: NormalForm, m: int, label: str = "nf") -> LinearOperator:
+    """Rebuild an operator from a normal form at m (for spot checks)."""
+    den, table = nf
     terms = []
-    for (ders, muls), coeff in sorted(nf.items(), key=lambda kv: (tuple(map(_var_key, kv[0][0])), tuple(map(_var_key, kv[0][1])))):
-        actions = tuple([der_(v) for v in ders] + [mul_(v) for v in muls])
-        terms.append(OperatorTerm(EulerScalar(coeff), actions))
+    for (ders, muls), v in sorted(table.items()):
+        actions = tuple([der_(var_at(i, m)) for i in ders] + [mul_(var_at(i, m)) for i in muls])
+        terms.append(OperatorTerm(EulerScalar(QQ(v, den)), actions))
     return LinearOperator(label, terms)

@@ -66,6 +66,11 @@ def z_(i: int) -> VariableId:
     return VariableId(VarBlock.Z, i)
 
 
+def var_at(i: int, m: int) -> VariableId:
+    """The variable at position i of a length-3m exponent tuple."""
+    return VariableId((VarBlock.X, VarBlock.Y, VarBlock.Z)[i // m], i % m + 1)
+
+
 class TriDegree(NamedTuple):
     kx: int
     ky: int

@@ -31,6 +31,7 @@ from .polys import (
     poly_sub,
     render_poly,
     tri_degrees_of_total,
+    var_at,
 )
 from .linalg import (
     IntRow,
@@ -46,12 +47,15 @@ from .linalg import (
 )
 from .operators import (
     LinearOperator,
+    NormalForm,
     apply_op,
     catalog,
     commutator,
     identity_op,
     integer_image,
     normal_form,
+    nf_bracket,
+    nf_sum,
     op_add,
     op_scale,
     op_sub,
@@ -280,49 +284,47 @@ class Verifier:
     def algebra_relations(self) -> List[CheckResult]:
         m, cat = self.m, self.cat
         rows: List[CheckResult] = []
+        sl2 = ("sl_h", "sl_s", "sl_c", "sl_d")
+        names = [f"{t}_{s}" for t in sl2 for s in "XYH"] + ["R", "L", "E_script", "D_s", "D_s_dag", "E", "Id"]
+        nf = {name: normal_form(cat[name], m) for name in names + sp_labels(m)}
 
-        def nf_residual(op) -> Tuple[int, Optional[str]]:
-            nf = normal_form(op, m)
-            if not nf:
+        def nf_residual(res: NormalForm) -> Tuple[int, Optional[str]]:
+            if not res[1]:
                 return 0, None
-            (ders, muls), coeff = next(iter(sorted(nf.items(), key=lambda kv: str(kv[0]))))
-            word = " ".join([f"d_{v.block.value}{v.index}" for v in ders] + [f"{v.block.value}{v.index}" for v in muls])
-            return len(nf), f"{qq_str(coeff)} * [{word}]"
+            (ders, muls), v = min(res[1].items())
+            word = " ".join([f"d_{var_at(i, m)}" for i in ders] + [str(var_at(i, m)) for i in muls])
+            return len(res[1]), f"{qq_str(QQ(v, res[0]))} * [{word}]"
 
         rows.append(_row("sp_generator_count", {"m": m}, 2 * m * m + m, len(sp_labels(m))))
 
-        # built once, so that each residual is compiled once for the
-        # extensional sweeps below
-        triples: List[Tuple[str, str, LinearOperator]] = []
-        for name in ("sl_h", "sl_s", "sl_c", "sl_d"):
-            X, Y, H = cat[f"{name}_X"], cat[f"{name}_Y"], cat[f"{name}_H"]
-            triples += [(name, "HX", op_sub(commutator(H, X), op_scale(X, 2))),
-                        (name, "HY", op_add(commutator(H, Y), op_scale(Y, 2))),
-                        (name, "XY", op_sub(commutator(X, Y), H))]
-        for name, rel, op in triples:
-            n, wit = nf_residual(op)
-            rows.append(_row(f"triple_{name}_{rel}", {"triple": name}, 0, n, wit))
+        # the residuals are built as operators only for the extensional
+        # sweeps below, once each, so that each is compiled once
+        triples: List[Tuple[str, LinearOperator]] = []
+        for name in sl2:
+            X, Y, H = (nf[f"{name}_{s}"] for s in "XYH")
+            for rel, res in (("HX", nf_sum((1, nf_bracket(H, X)), (-2, X))),
+                             ("HY", nf_sum((1, nf_bracket(H, Y)), (2, Y))),
+                             ("XY", nf_sum((1, nf_bracket(X, Y)), (-1, H)))):
+                n, wit = nf_residual(res)
+                rows.append(_row(f"triple_{name}_{rel}", {"triple": name}, 0, n, wit))
+            X, Y, H = (cat[f"{name}_{s}"] for s in "XYH")
+            triples += [(name, op_sub(commutator(H, X), op_scale(X, 2))),
+                        (name, op_add(commutator(H, Y), op_scale(Y, 2))),
+                        (name, op_sub(commutator(X, Y), H))]
 
-        n, wit = nf_residual(op_sub(commutator(cat["R"], cat["L"]), cat["E_script"]))
+        n, wit = nf_residual(nf_sum((1, nf_bracket(nf["R"], nf["L"])), (-1, nf["E_script"])))
         rows.append(_row("bracket_R_L_is_scriptE", {}, 0, n, wit))
-        n, wit = nf_residual(op_add(commutator(cat["D_s"], cat["D_s_dag"]),
-                                    op_add(cat["E"], op_scale(identity_op(), m))))
+        n, wit = nf_residual(nf_sum((1, nf_bracket(nf["D_s"], nf["D_s_dag"])), (1, nf["E"]), (m, nf["Id"])))
         rows.append(_row("bracket_Ds_Dsdag_is_minus_E_plus_m", {}, 0, n, wit))
 
         for target in ("D_s", "D_s_dag", "E"):
-            bad = 0
-            wit = None
-            for lab in sp_labels(m):
-                nf = normal_form(commutator(cat[lab], cat[target]), m)
-                if nf:
-                    bad += 1
-                    if wit is None:
-                        wit = f"[{lab}, {target}] != 0"
-            rows.append(_row(f"sp_commutes_with_{target}", {"generators": len(sp_labels(m))}, 0, bad, wit))
+            bad = [lab for lab in sp_labels(m) if nf_bracket(nf[lab], nf[target])[1]]
+            wit = f"[{bad[0]}, {target}] != 0" if bad else None
+            rows.append(_row(f"sp_commutes_with_{target}", {"generators": len(sp_labels(m))}, 0, len(bad), wit))
 
-        for pair in (("R", "D_s"), ("L", "D_s"), ("R", "D_s_dag"), ("L", "D_s_dag")):
-            n, wit = nf_residual(commutator(cat[pair[0]], cat[pair[1]]))
-            rows.append(_row(f"commutes_{pair[0]}_{pair[1]}", {}, 0, n, wit))
+        for a, b in (("R", "D_s"), ("L", "D_s"), ("R", "D_s_dag"), ("L", "D_s_dag")):
+            n, wit = nf_residual(nf_bracket(nf[a], nf[b]))
+            rows.append(_row(f"commutes_{a}_{b}", {}, 0, n, wit))
 
         # extensional confirmation on whole low-degree blocks ties the
         # symbolic certificates back to the action on polynomials
@@ -331,7 +333,7 @@ class Verifier:
         for total in range(4):
             for d in tri_degrees_of_total(total):
                 blk = Block(m, [d])
-                for name, _, op in triples:
+                for name, op in triples:
                     n, first = _nonzero_images(op, blk.basis)
                     bad += n
                     if wit is None and first is not None:

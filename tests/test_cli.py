@@ -156,6 +156,21 @@ def test_out_writes_file(tmp_path):
     assert rep["summary"]["fail"] == 0
 
 
+def test_unwritable_out_rejected_before_the_run(monkeypatch, capsys, tmp_path):
+    from sympdirac import cli
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("a report was started")
+
+    monkeypatch.setattr(cli, "build_report", no_report)
+    for dest in (tmp_path / "missing" / "r.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["--suite", "dim_identity", "--out", str(dest)])
+        assert exc.value.code == 2
+        assert f"cannot write --out {dest}" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_empty_report_is_valid():
     from sympdirac.cli import build_report, render_json
 

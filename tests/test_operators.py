@@ -19,6 +19,10 @@ from sympdirac.operators import (
     identity_op,
     integer_image,
     mul_,
+    nf_bracket,
+    nf_product,
+    normal_form,
+    normal_form_op,
     op_scale,
     op_sub,
     sp_labels,
@@ -486,3 +490,49 @@ def test_projector_matrix_singular_or_lazy(cat):
     blk = Verifier(M, cat).eigenblock(1, -1).block
     mat = matrix_of(cat["Pi_L"], blk, blk)
     assert mat.integer_form() == (1, [{i: 1} for i in range(blk.dim)])
+
+
+# ---------------------------------------------------------------------------
+# the normal-form product against the normal forms of composed operators
+
+
+def _nf_pairs(cat_m, rng):
+    """Seeded pairs of catalog operators without Euler denominators: each
+    Euler operator and Id against a random partner, and random pairs."""
+    names = sorted(name for name, op in cat_m.items() if not any(t.scalar.den for t in op.terms))
+    fixed = ["E", "E_script", "sl_h_H", "sl_s_H", "sl_c_H", "sl_d_H", "Id"]
+    return [(a, rng.choice(names)) for a in fixed] + [tuple(rng.sample(names, 2)) for _ in range(8)]
+
+
+@pytest.mark.parametrize("m", [6, 7, 10])
+def test_nf_product_matches_composed_normal_form(m):
+    # at m=10 the flat-index order of x10 and x2 is not their string order
+    cat_m = catalog(m)
+    for a, b in _nf_pairs(cat_m, random.Random(30 + m)):
+        na, nb = normal_form(cat_m[a], m), normal_form(cat_m[b], m)
+        for x, y, nx, ny in ((a, b, na, nb), (b, a, nb, na)):
+            assert nf_product(nx, ny) == normal_form(compose(cat_m[x], cat_m[y]), m), (x, y)
+        assert nf_bracket(na, nb) == normal_form(commutator(cat_m[a], cat_m[b]), m), (a, b)
+
+
+def test_nf_product_agrees_with_application(cat):
+    # the compiled path shares no helper with the normal form; E after
+    # D_s_dag reads E on the output of D_s_dag, so it tests that an Euler
+    # scalar is read on the input of the term that carries it
+    blk = Block(M, [TriDegree(1, 0, 1), TriDegree(0, 1, 1), TriDegree(0, 0, 2)])
+    pairs = [("E", "D_s_dag"), ("sl_h_H", "sl_h_X")] + _nf_pairs(cat, random.Random(36))
+    for a, b in pairs:
+        prod = normal_form_op(nf_product(normal_form(cat[a], M), normal_form(cat[b], M)), M)
+        assert same_on(prod, compose(cat[a], cat[b]), blk), (a, b)
+
+
+def test_normal_form_follows_reassigned_terms_and_m():
+    op = LinearOperator("op", [OperatorTerm(EulerScalar(1), (der_(z_(1)), mul_(x_(2))))])
+    nf = normal_form(op, 6)
+    assert nf == (1, {((12,), (1,)): 1})
+    assert normal_form(op, 6) is nf
+    assert normal_form(op, 7) == (1, {((14,), (1,)): 1})
+    # d_y1 y1 = y1 d_y1 + 1
+    op.terms = (OperatorTerm(EulerScalar(QQ(3, 2)), (mul_(y_(1)), der_(y_(1)))),)
+    assert normal_form(op, 6) == (2, {((6,), (6,)): 3, ((), ()): 3})
+    assert normal_form(op, 7) == (2, {((7,), (7,)): 3, ((), ()): 3})

@@ -1,15 +1,22 @@
 """Checks for the block-by-block verification harness."""
 
+import random
+
 import pytest
 
 from sympdirac.linalg import subspace_intersect
 from sympdirac.operators import (
+    EulerScalar,
+    LinearOperator,
+    OperatorTerm,
     apply_op,
     catalog,
     commutator,
+    identity_op,
     normal_form,
     normal_form_op,
     op_scale,
+    sp_labels,
 )
 from sympdirac.polys import Block, TriDegree, poly_scale, poly_sub
 from sympdirac.rationals import QQ
@@ -124,7 +131,7 @@ def test_rows_deterministic_across_instances():
 def test_normal_form_matches_operator_extensionally():
     cat = catalog(M)
     com = commutator(cat["sl_c_X"], cat["sl_c_Y"])
-    rebuilt = normal_form_op(normal_form(com, M), "rebuilt")
+    rebuilt = normal_form_op(normal_form(com, M), M, "rebuilt")
     blk = Block(M, [TriDegree(1, 0, 1), TriDegree(0, 1, 1)])
     for mono in blk.basis:
         assert apply_op(com, {mono: QQ(1)}) == apply_op(rebuilt, {mono: QQ(1)})
@@ -192,3 +199,44 @@ def test_operator_matrices_built_once_per_verifier(monkeypatch):
     ver = Verifier(M)
     assert all(r.passed for r in ver.l_fischer(2) + ver.branching_table(1))
     assert built and len(set(built)) == len(built)
+
+
+def test_mutated_sp_generator_fails_its_commutation_row():
+    # the sp(2m) generators are reached only through the normal-form
+    # brackets; a constant term (the -1/2 of X_j_j) commutes with every
+    # operator, so no bracket can see it and it is not mutated here
+    clean = catalog(M)
+    rng = random.Random(40)
+    for family in "XYZ":
+        for lab in rng.sample([lab for lab in sp_labels(M) if lab[0] == family], 2):
+            terms = clean[lab].terms
+            j = rng.choice([i for i, t in enumerate(terms) if t.actions])
+            s = terms[j].scalar
+            flipped = OperatorTerm(EulerScalar(-s.coeff, s.num, s.den), terms[j].actions)
+            for mutant in (terms[:j] + (flipped,) + terms[j + 1:], terms[:j] + terms[j + 1:]):
+                cat = dict(clean)
+                cat[lab] = LinearOperator(lab, mutant)
+                failed = [r for r in Verifier(M, cat).algebra_relations()
+                          if r.name.startswith("sp_commutes_with_") and not r.passed]
+                assert any(r.witness.startswith(f"[{lab}, ") for r in failed), (lab, j)
+    _assert_all_pass(Verifier(M, clean).algebra_relations())
+
+
+def test_symbolic_certificates_build_no_commutator(monkeypatch):
+    # every symbolic row comes from cached normal forms: with commutator
+    # broken, only the two extensional sweeps, which apply it, fail
+    from sympdirac import verify
+
+    built = []
+
+    def broken(a, b):
+        built.append((a.label, b.label))
+        return identity_op(f"[{a.label},{b.label}]")
+
+    ver = Verifier(M, catalog(M))
+    monkeypatch.setattr(verify, "commutator", broken)
+    rows = ver.algebra_relations()
+    sampled = len(sp_labels(M)[:: len(sp_labels(M)) // 20])
+    assert len(built) == 12 + 3 * sampled == 90
+    sweeps = {"triples_extensional_deg_le_3", "sp_extensional_deg_le_2"}
+    assert {r.name for r in rows if not r.passed} == sweeps
