@@ -4,8 +4,9 @@ Rows and vectors are dicts {column index: coefficient}. Matrices are
 integer-first: a matrix holds sparse integer columns and one denominator
 D, a common denominator of its entries, and forms its rational columns
 only when they are read. matrix_of builds that form straight from
-the operators' integer images, and nullspaces, stacks, nullspace
-membership and the Casimir certificate in repn read it as it is.
+the operators' integer images (operator_matrix keeps it on the operator),
+and nullspaces, stacks, nullspace membership and the Casimir certificate
+in repn read it as it is.
 
 Elimination runs on denominator-cleared integer rows in two phases, both
 through one fraction-free step (`_combine`: cross-multiply by the two
@@ -195,11 +196,11 @@ class Subspace:
                           for p, row in zip(self.pivots, self.int_rows)]
         return self._rows
 
-    def _residual(self, vec: IntRow) -> Tuple[IntRow, int]:
-        """(w, s) with w / s equal to vec minus its projection along the
-        pivot columns, s > 0. A reduced row is zero at every other pivot,
-        so each pivot entry of vec is cleared once, by its own row."""
-        w, s = vec, 1
+    def _residual(self, vec: IntRow) -> IntRow:
+        """A positive multiple of vec minus its projection along the pivot
+        columns, in a copy of vec. A reduced row is zero at every other
+        pivot, so each pivot entry of vec is cleared once, by its own row."""
+        w = dict(vec)
         for c in vec:
             i = self._row_of.get(c)
             if i is not None:
@@ -207,16 +208,11 @@ class Subspace:
                 lead, f = row[c], w[c]
                 g = gcd(lead, f)
                 a = lead // g
-                w = {k: v * a for k, v in w.items()} if a != 1 else dict(w)
+                if a != 1:
+                    for k in w:
+                        w[k] *= a
                 add_scaled(w, row, -(f // g))
-                s *= a
-        return w, s
-
-    def reduce(self, vec: Row) -> Row:
-        """Subtract the projection onto this subspace along pivot columns."""
-        den, iv = _clear(vec)
-        w, s = self._residual(iv)
-        return {c: QQ(v, den * s) for c, v in w.items()}
+        return w
 
     def contains(self, vec: Row) -> bool:
         for c in vec:
@@ -225,7 +221,7 @@ class Subspace:
         iv = _clear(vec)[1]
         if self.annihilator is not None:
             return not self.annihilator.mul_int_vec(iv)
-        return not self._residual(iv)[0]
+        return not self._residual(iv)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -351,7 +347,6 @@ def stack_matrices(mats: Sequence[RationalMatrix]) -> RationalMatrix:
     """Vertical concatenation; all operands must share the column count.
     Each operand's integer columns are scaled to the lcm of the operands'
     denominators."""
-    mats = [m for m in mats if m is not None]
     if not mats:
         raise ValueError("nothing to stack")
     ncols = mats[0].ncols
@@ -401,6 +396,17 @@ def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
     columns = [col if d == den else {r: v * (den // d) for r, v in col.items()}
                for col, d in zip(columns, dens)]
     return RationalMatrix.from_integer_form(codomain.dim, domain.dim, den, columns)
+
+
+def operator_matrix(op, domain: Block, codomain: Block) -> RationalMatrix:
+    """matrix_of(op, domain, codomain), built once per (m, domain
+    tri-degrees, codomain tri-degrees) and kept on op. An operator's terms
+    are fixed, so that key and op are everything the matrix depends on."""
+    key = (domain.m, domain.tri_degrees, codomain.tri_degrees)
+    mat = op.matrices.get(key)
+    if mat is None:
+        mat = op.matrices[key] = matrix_of(op, domain, codomain)
+    return mat
 
 
 # ---------------------------------------------------------------------------

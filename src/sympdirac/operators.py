@@ -14,18 +14,22 @@ shifts. Identities between operators without Euler denominators are
 certified symbolically by the Weyl-algebra normal form at the end of this
 module, and spot-checked extensionally on low-degree blocks. The normal
 form of an operator is built once per m, on integers over one
-denominator, and cached on the operator like its compiled form; products
+denominator, and kept on the operator like its compiled form; products
 and brackets of normal forms come from one Leibniz step, so a symbolic
 certificate composes no operator.
 
+An operator's terms are fixed when it is built (`terms` has no setter;
+a changed operator is a new object), so what is derived from them lives
+on the operator and never goes stale: its compiled form and normal form
+per m, and its block matrices (linalg.operator_matrix).
+
 Application runs a compiled form of the operator, built on first use for
-each m and stored on the operator, keyed by m and by the `terms` tuple it
-was built from (reassigning `terms` recompiles). A word becomes its
-derivative offsets and its net exponent change: on a monomial it gives
-the product of mono[i] + k over the offsets (i, k), times the monomial
-shifted by the change. Terms whose words act identically on every
-monomial (equal offsets and change) are merged, and only those, so this is
-no normal ordering; constant scalars are folded into one rational.
+each m. A word becomes its derivative offsets and its net exponent
+change: on a monomial it gives the product of mono[i] + k over the
+offsets (i, k), times the monomial shifted by the change. Terms whose
+words act identically on every monomial (equal offsets and change) are
+merged, and only those, so this is no normal ordering; constant scalars
+are folded into one rational.
 
 Each input tri-degree gets an integer plan, built once: a denominator D
 and, aligned with the words, each word's scalar times D. Euler scalars are
@@ -48,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .rationals import QQ
 from .polys import (
@@ -56,7 +60,7 @@ from .polys import (
     Poly,
     TriDegree,
     VariableId,
-    VarBlock,
+    _BLOCK_SLOT,
     add_scaled,
     poly_add_term,
     tri_degree_of,
@@ -154,9 +158,6 @@ def der_(v: VariableId) -> ElementaryAction:
     return ElementaryAction(ActionKind.DeriveVar, v)
 
 
-_BLOCK_AXIS = {VarBlock.X: 0, VarBlock.Y: 1, VarBlock.Z: 2}
-
-
 @dataclass(frozen=True)
 class OperatorTerm:
     scalar: EulerScalar
@@ -165,7 +166,7 @@ class OperatorTerm:
     def shift(self) -> Tuple[int, int, int]:
         s = [0, 0, 0]
         for act in self.actions:
-            s[_BLOCK_AXIS[act.var.block]] += 1 if act.kind is ActionKind.MultiplyVar else -1
+            s[_BLOCK_SLOT[act.var.block]] += 1 if act.kind is ActionKind.MultiplyVar else -1
         return tuple(s)
 
 
@@ -182,11 +183,21 @@ Plan = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class LinearOperator:
+    """A finite sum of terms, fixed at construction (`terms` has no
+    setter), with the data derived from them: its compiled form and its
+    normal form per m, and its block matrices, keyed by (m, domain
+    tri-degrees, codomain tri-degrees). Each is built on first use."""
+
     def __init__(self, label: str, terms: Iterable[OperatorTerm]):
         self.label = label
-        self.terms: Tuple[OperatorTerm, ...] = tuple(terms)
-        # (the terms tuple they were built from, {m: compiled form}, {m: normal form})
-        self._forms: Optional[Tuple[Tuple[OperatorTerm, ...], Dict[int, "_Compiled"], Dict[int, "NormalForm"]]] = None
+        self._terms: Tuple[OperatorTerm, ...] = tuple(terms)
+        self.compiled: Dict[int, _Compiled] = {}
+        self.normal_forms: Dict[int, NormalForm] = {}
+        self.matrices: Dict[tuple, object] = {}
+
+    @property
+    def terms(self) -> Tuple[OperatorTerm, ...]:
+        return self._terms
 
     def relabel(self, label: str) -> "LinearOperator":
         return LinearOperator(label, self.terms)
@@ -269,25 +280,15 @@ def _least_block_degrees(offsets: Tuple[Tuple[int, int], ...], m: int) -> Tuple[
     return tuple(out)
 
 
-def _forms(op: LinearOperator, slot: int) -> Dict:
-    """op's {m: compiled form} (slot 1) or {m: normal form} (slot 2),
-    emptied whenever op.terms is no longer the tuple they were built from."""
-    cache = op._forms
-    if cache is None or cache[0] is not op.terms:
-        cache = op._forms = (op.terms, {}, {})
-    return cache[slot]
-
-
 def _prepare(op: LinearOperator, mono: Monomial) -> Tuple[Tuple[Word, ...], int, Tuple[int, ...]]:
     """(words, D, numerators) of op's plan at the tri-degree of mono.
     Raises SingularEulerDenominator if a word whose denominator vanishes
     there hits mono, on every call."""
     d = tri_degree_of(mono)  # raises ValueError unless len(mono) == 3m
     m = len(mono) // 3
-    compiled = _forms(op, 1)
-    comp = compiled.get(m)
+    comp = op.compiled.get(m)
     if comp is None:
-        comp = compiled[m] = _Compiled(op.terms, m)
+        comp = op.compiled[m] = _Compiled(op.terms, m)
     den, nums, singular = comp.plan(d, op.label)
     for j in singular:
         if all(mono[i] + k for i, k in comp.words[j][0]):
@@ -689,12 +690,11 @@ def _cleared(table: Dict) -> NormalForm:
 
 
 def normal_form(op: LinearOperator, m: int) -> NormalForm:
-    """op's normal form at m, built on first use and stored on op like its
+    """op's normal form at m, built on first use and kept on op like its
     compiled form. A term's Euler numerator is expanded into its normal
     form, read on the term's input, and the term's actions are folded
     onto it in application order; Euler denominators raise ValueError."""
-    cache = _forms(op, 2)
-    nf = cache.get(m)
+    nf = op.normal_forms.get(m)
     if nf is not None:
         return nf
     parts = []
@@ -713,7 +713,7 @@ def normal_form(op: LinearOperator, m: int) -> NormalForm:
             word = ((i,), ()) if act.kind is ActionKind.DeriveVar else ((), (i,))
             part = nf_product((1, {word: 1}), part)
         parts.append((1, part))
-    nf = cache[m] = nf_sum(*parts)
+    nf = op.normal_forms[m] = nf_sum(*parts)
     return nf
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from weakref import WeakKeyDictionary
 from typing import Dict, List, Optional, Tuple
 
 from .rationals import QQ, qq_str
@@ -36,7 +35,7 @@ from .polys import (
     z_,
     _compositions,
 )
-from .linalg import RationalMatrix, Subspace, matrix_of, stack_matrices, vec_to_poly
+from .linalg import RationalMatrix, Subspace, matrix_of, operator_matrix, stack_matrices, vec_to_poly
 from .operators import LinearOperator, apply_op, inner_der_der, inner_mul_der
 
 
@@ -284,20 +283,9 @@ def simplicial_harmonics(m: int, k: int, l: int, first: str = "z", second: str =
 # ---------------------------------------------------------------------------
 # Casimir certification
 
-# Casimir operator -> {(m, tri-degrees of the block): matrix}. Keyed by the
-# operator object, so a catalog with a different Casimir never reads
-# another catalog's matrices; entries go when their operator does.
-_CASIMIR_MATRICES: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def casimir_matrix(cat: Dict[str, LinearOperator], block: Block) -> RationalMatrix:
-    op = cat["Casimir"]
-    by_block = _CASIMIR_MATRICES.setdefault(op, {})
-    key = (block.m, block.tri_degrees)
-    mat = by_block.get(key)
-    if mat is None:
-        mat = by_block[key] = matrix_of(op, block, block)
-    return mat
+    """The matrix of cat's Casimir on block, kept on that operator."""
+    return operator_matrix(cat["Casimir"], block, block)
 
 
 @dataclass
@@ -311,13 +299,14 @@ class CasimirCheck:
 
 
 def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspace, w: HighestWeightSO) -> CasimirCheck:
-    """True iff the Casimir acts on every vector of sub as the scalar of
+    """True iff cat's Casimir acts on every vector of sub as the scalar of
     weight w; on failure the first offending vector rides along.
 
-    With D clearing the matrix's denominators (its integer form, which
-    matrix_of builds, kept with the Casimir operator) and the scalar p/q,
-    M r = (p/q) r is tested as q (D M) r == p D r on each integer row r
-    of sub."""
+    The matrix is the one kept on that Casimir operator, whose terms are
+    fixed, so a catalog with another Casimir is certified on its own
+    matrix. With D clearing the matrix's denominators (its integer form)
+    and the scalar p/q, M r = (p/q) r is tested as q (D M) r == p D r on
+    each integer row r of sub."""
     expected = casimir_scalar(block.m, w)
     p, q = expected.numerator, expected.denominator
     mat = casimir_matrix(cat, block)

@@ -16,7 +16,8 @@ byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .rationals import QQ, qq_str
 from .polys import (
@@ -39,6 +40,7 @@ from .linalg import (
     Subspace,
     is_direct_sum,
     matrix_of,
+    operator_matrix,
     poly_to_vec,
     rank_certified,
     stack_matrices,
@@ -127,6 +129,12 @@ def _row(name: str, params: Dict[str, object], expected, actual, witness=None) -
     return CheckResult(name, params, e, a, e == a and witness is None, witness)
 
 
+def _eigenblock(m: int, k: int, t: int) -> EigenBlock:
+    # tri-degree (kx, k - kx, kz) has script-E eigenvalue m/2 + kz + k - 2 kx
+    degs = [TriDegree(kx, k - kx, t + 2 * kx - k) for kx in range(k + 1) if t + 2 * kx - k >= 0]
+    return EigenBlock(m, k, t, Block(m, degs))
+
+
 def _nonzero_images(op: LinearOperator, monos: Sequence[Monomial]) -> Tuple[int, Optional[Monomial]]:
     """How many of monos op does not send to 0, and the first of them.
     Runs on the operator's integer images; no rational is formed."""
@@ -141,69 +149,43 @@ def _nonzero_images(op: LinearOperator, monos: Sequence[Monomial]) -> Tuple[int,
 
 
 class Verifier:
-    """Caches eigenblocks, D_s and L matrices, kernels and family
-    constructions for one operator catalog. A fresh catalog (for instance
-    a corrupted one in a mutation test) gets a fresh Verifier, so nothing
-    stale leaks."""
+    """Runs the suites over a read-only copy of an operator catalog, so a
+    later edit of the caller's dict reaches no Verifier. Eigenblocks,
+    kernels, lowest-weight spaces and families are kept in one memo keyed
+    by name and parameters; nothing they depend on can change. Operator
+    matrices live on the operators (linalg.operator_matrix)."""
 
-    def __init__(self, m: int, cat: Optional[Dict[str, LinearOperator]] = None):
+    def __init__(self, m: int, cat: Optional[Mapping[str, LinearOperator]] = None):
         self.m = m
-        self.cat = cat if cat is not None else catalog(m)
-        self._blocks: Dict[Tuple[int, int], EigenBlock] = {}
-        self._mats: Dict[Tuple[str, int, int], RationalMatrix] = {}
-        self._ker: Dict[Tuple[str, int, int], Subspace] = {}
-        self._lws: Dict[Tuple[int, int], Subspace] = {}
-        self._families: Dict[int, Dict[str, object]] = {}
+        self.cat = MappingProxyType(dict(cat if cat is not None else catalog(m)))
+        self._memo: Dict[tuple, object] = {}
+
+    def _memoized(self, key: tuple, build: Callable[[], object]):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     # -- eigenblocks and kernels
 
     def eigenblock(self, k: int, t: int) -> EigenBlock:
-        key = (k, t)
-        eb = self._blocks.get(key)
-        if eb is None:
-            degs = []
-            if k >= 0:
-                for kx in range(k + 1):
-                    ky = k - kx
-                    kz = t + kx - ky
-                    if kz >= 0:
-                        degs.append(TriDegree(kx, ky, kz))
-            eb = EigenBlock(self.m, k, t, Block(self.m, degs))
-            self._blocks[key] = eb
-        return eb
-
-    def _op_matrix(self, name: str, k: int, t: int, k_out: int, t_out: int) -> RationalMatrix:
-        key = (name, k, t)
-        mat = self._mats.get(key)
-        if mat is None:
-            mat = self._mats[key] = matrix_of(self.cat[name], self.eigenblock(k, t).block,
-                                              self.eigenblock(k_out, t_out).block)
-        return mat
+        return self._memoized(("eigenblock", k, t), lambda: _eigenblock(self.m, k, t))
 
     def dirac_matrix(self, k: int, t: int) -> RationalMatrix:
-        return self._op_matrix("D_s", k, t, k - 1, t)
+        return operator_matrix(self.cat["D_s"], self.eigenblock(k, t).block, self.eigenblock(k - 1, t).block)
 
     def lowering_matrix(self, k: int, t: int) -> RationalMatrix:
-        return self._op_matrix("L", k, t, k, t - 2)
+        return operator_matrix(self.cat["L"], self.eigenblock(k, t).block, self.eigenblock(k, t - 2).block)
 
     def kernel_Ds(self, k: int, t: int) -> Subspace:
-        key = ("Ds", k, t)
-        if key not in self._ker:
-            self._ker[key] = self.dirac_matrix(k, t).nullspace()
-        return self._ker[key]
+        return self._memoized(("kernel_Ds", k, t), lambda: self.dirac_matrix(k, t).nullspace())
 
     def kernel_L(self, k: int, t: int) -> Subspace:
-        key = ("L", k, t)
-        if key not in self._ker:
-            self._ker[key] = self.lowering_matrix(k, t).nullspace()
-        return self._ker[key]
+        return self._memoized(("kernel_L", k, t), lambda: self.lowering_matrix(k, t).nullspace())
 
     def lowest_weight_space(self, k: int, t: int) -> Subspace:
-        key = (k, t)
-        if key not in self._lws:
-            stacked = stack_matrices([self.dirac_matrix(k, t), self.lowering_matrix(k, t)])
-            self._lws[key] = stacked.nullspace()
-        return self._lws[key]
+        return self._memoized(("lowest_weight_space", k, t), lambda: stack_matrices(
+            [self.dirac_matrix(k, t), self.lowering_matrix(k, t)]).nullspace())
 
     # -- conversions: spans and membership do not change when a vector is
     # scaled, so family vectors are kept as primitive integer rows
@@ -220,9 +202,9 @@ class Verifier:
     # -- the five families over H_{a-1}..H_{a+1} in the k=1 block at t = a-1
 
     def families(self, a: int) -> Dict[str, object]:
-        fam = self._families.get(a)
-        if fam is not None:
-            return fam
+        return self._memoized(("families", a), lambda: self._build_families(a))
+
+    def _build_families(self, a: int) -> Dict[str, object]:
         m, cat = self.m, self.cat
         eb = self.eigenblock(1, a - 1)
         fam = {"eb": eb}
@@ -275,7 +257,6 @@ class Verifier:
         fam["split_kernel"] = kernel_combos
         fam["split_image"] = image_vecs
         fam["split_ratios"] = tuple(sorted(ratios))
-        self._families[a] = fam
         return fam
 
     # ------------------------------------------------------------------

@@ -108,6 +108,21 @@ def test_import_needs_no_numpy():
     assert r.returncode == 0, r.stderr
 
 
+def test_import_loads_only_the_standard_library():
+    # every top-level module that importing the package loads is the
+    # package itself or part of the standard library; dunder aliases such
+    # as multiprocessing's __mp_main__ are no modules of their own
+    code = ("import sys; before = set(sys.modules); import sympdirac.cli, sympdirac.verify; "
+            "new = {name.split('.')[0] for name in set(sys.modules) - before}; "
+            "bad = sorted(n for n in new if n != 'sympdirac' and n not in sys.stdlib_module_names "
+            "and not (n.startswith('__') and n.endswith('__'))); "
+            "assert not bad, bad")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_unknown_suite_rejected():
     r = run_cli("--suite", "nonexistent")
     assert r.returncode == 2

@@ -344,12 +344,31 @@ def test_compiled_apply_matches_reference_at_m7():
             assert_matches_reference(cat7[name], random_poly(rng, 7, max_degree=3, terms=4))
 
 
-def test_compiled_form_follows_reassigned_terms():
+def test_reassigning_terms_raises_and_compiled_form_stays_per_m():
+    # terms are fixed, so the compiled form kept per m cannot go stale
     op = LinearOperator("op", [OperatorTerm(EulerScalar(1), (mul_(x_(1)),))])
+    replacement = (OperatorTerm(EulerScalar(3), (der_(z_(1)), mul_(y_(2)))),)
+
+    def z1_image(m):
+        src = tuple(1 if i == 2 * m else 0 for i in range(3 * m))
+        dst = tuple(1 if i in (0, 2 * m) else 0 for i in range(3 * m))
+        return {src: QQ(1)}, {dst: QQ(1)}
+
+    for m in (6, 7, 6):
+        p, want = z1_image(m)
+        assert apply_op(op, p) == want
+    compiled = dict(op.compiled)
+    assert set(compiled) == {6, 7}
+    with pytest.raises(AttributeError):
+        op.terms = replacement
+    for m in (6, 7, 6):
+        p, want = z1_image(m)
+        assert apply_op(op, p) == want
+    assert op.compiled == compiled
+    # a changed operator is a new object, with its own compiled forms
     p = {mono(z1=1): QQ(1)}
     assert apply_op(op, p) == {mono(x1=1, z1=1): QQ(1)}
-    op.terms = (OperatorTerm(EulerScalar(3), (der_(z_(1)), mul_(y_(2)))),)
-    assert apply_op(op, p) == {mono(y2=1): QQ(3)}
+    assert apply_op(LinearOperator("op", replacement), p) == {mono(y2=1): QQ(3)}
 
 
 def test_compiled_form_is_per_m():
@@ -526,13 +545,18 @@ def test_nf_product_agrees_with_application(cat):
         assert same_on(prod, compose(cat[a], cat[b]), blk), (a, b)
 
 
-def test_normal_form_follows_reassigned_terms_and_m():
+def test_reassigning_terms_raises_and_normal_form_stays_per_m():
     op = LinearOperator("op", [OperatorTerm(EulerScalar(1), (der_(z_(1)), mul_(x_(2))))])
+    replacement = (OperatorTerm(EulerScalar(QQ(3, 2)), (mul_(y_(1)), der_(y_(1)))),)
     nf = normal_form(op, 6)
     assert nf == (1, {((12,), (1,)): 1})
     assert normal_form(op, 6) is nf
     assert normal_form(op, 7) == (1, {((14,), (1,)): 1})
+    with pytest.raises(AttributeError):
+        op.terms = replacement
+    assert normal_form(op, 6) is nf
+    assert normal_form(op, 7) == (1, {((14,), (1,)): 1})
     # d_y1 y1 = y1 d_y1 + 1
-    op.terms = (OperatorTerm(EulerScalar(QQ(3, 2)), (mul_(y_(1)), der_(y_(1)))),)
-    assert normal_form(op, 6) == (2, {((6,), (6,)): 3, ((), ()): 3})
-    assert normal_form(op, 7) == (2, {((7,), (7,)): 3, ((), ()): 3})
+    new = LinearOperator("op", replacement)
+    assert normal_form(new, 6) == (2, {((6,), (6,)): 3, ((), ()): 3})
+    assert normal_form(new, 7) == (2, {((7,), (7,)): 3, ((), ()): 3})

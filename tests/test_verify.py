@@ -184,8 +184,10 @@ def test_mutated_casimir_does_not_leak_cache():
 
 def test_operator_matrices_built_once_per_verifier(monkeypatch):
     # kernel_Ds, kernel_L and lowest_weight_space share the D_s and L
-    # matrices of a (k, t); no (operator, domain, codomain) is built twice
-    from sympdirac import linalg, repn, verify
+    # matrices of a (k, t), and Verifiers over one catalog share the
+    # matrices kept on its operators; no (operator, domain, codomain) is
+    # built twice
+    from sympdirac import linalg
 
     built = []
     orig = linalg.matrix_of
@@ -194,11 +196,43 @@ def test_operator_matrices_built_once_per_verifier(monkeypatch):
         built.append((id(op), domain.tri_degrees, codomain.tri_degrees))
         return orig(op, domain, codomain)
 
-    monkeypatch.setattr(verify, "matrix_of", counting)
-    monkeypatch.setattr(repn, "matrix_of", counting)
-    ver = Verifier(M)
+    monkeypatch.setattr(linalg, "matrix_of", counting)
+    cat = catalog(M)
+    ver = Verifier(M, cat)
     assert all(r.passed for r in ver.l_fischer(2) + ver.branching_table(1))
     assert built and len(set(built)) == len(built)
+    assert {op for op, _, _ in built} == {id(cat[name]) for name in ("D_s", "L", "Casimir")}
+    first = list(built)
+    ver2 = Verifier(M, cat)
+    assert all(r.passed for r in ver2.l_fischer(2) + ver2.branching_table(1))
+    assert built == first
+
+
+def test_verifier_reads_a_read_only_copy_of_its_catalog():
+    cat = catalog(M)
+    ver = Verifier(M, cat)
+    clean = cat["D_s"]
+    cat["D_s"] = cat["L"]
+    del cat["Casimir"]
+    assert ver.cat["D_s"] is clean and "Casimir" in ver.cat
+    with pytest.raises(TypeError):
+        ver.cat["D_s"] = cat["L"]
+    assert all(r.passed for r in ver.symplectic_fischer_k1(1))
+
+
+def test_halved_casimir_fails_after_clean_matrices_were_built():
+    # a Casimir matrix is kept on its operator, whose terms cannot be
+    # reassigned; another Casimir is certified on its own matrices
+    clean = catalog(M)
+    assert all(r.passed for r in Verifier(M, clean).branching_table(0))
+    with pytest.raises(AttributeError):
+        clean["Casimir"].terms = op_scale(clean["Casimir"], QQ(1, 2)).terms
+    cat = catalog(M)
+    cat["Casimir"] = op_scale(cat["Casimir"], QQ(1, 2))
+    rows = [r for r in Verifier(M, cat).branching_table(0) if r.name == "component_casimir"]
+    assert len(rows) == 3
+    assert all(not r.passed and r.witness for r in rows)
+    assert all(r.passed for r in Verifier(M, clean).branching_table(0))
 
 
 def test_mutated_sp_generator_fails_its_commutation_row():
