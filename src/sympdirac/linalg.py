@@ -43,8 +43,8 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rationals import QQ
-from .polys import Block, add_scaled, monomial_poly, render_poly
-from .operators import integer_image
+from .polys import Block, add_scaled, monomial_poly, monomial_sort_key, render_poly
+from .operators import integer_images
 
 Row = Dict[int, QQ]  # sparse vector / matrix row
 IntRow = Dict[int, int]
@@ -370,27 +370,25 @@ def stack_matrices(mats: Sequence[RationalMatrix]) -> RationalMatrix:
 def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
     """Matrix of a linear operator between two graded blocks; column j is
     the compiled operator run on integers on the j-th basis monomial of
-    the domain, over its plan's denominator. The columns are brought to
-    the lcm of those denominators.
+    the domain, over its plan's denominator (operators.integer_images).
+    The columns are brought to the lcm of those denominators.
 
-    Any image component outside the codomain raises ImageOutsideCodomain;
-    nothing is silently dropped.
+    Any image component outside the codomain raises ImageOutsideCodomain,
+    naming the first such column and its least escaping term in canonical
+    order; nothing is silently dropped.
     """
     index = codomain.index
     columns: List[IntRow] = []
     dens: List[int] = []
-    for mono in domain.basis:
-        image, d = integer_image(op, mono)
-        col: IntRow = {}
-        for out_mono, v in image.items():
-            pos = index.get(out_mono)
-            if pos is None:
-                raise ImageOutsideCodomain(
-                    f"{op.label} maps {render_poly(monomial_poly(mono))} to a term "
-                    f"{render_poly(monomial_poly(out_mono, QQ(v, d)))} outside codomain {codomain}"
-                )
-            col[pos] = v
-        columns.append(col)
+    for mono, (image, d) in zip(domain.basis, integer_images(op, domain.basis)):
+        try:
+            columns.append({index[out]: v for out, v in image.items()})
+        except KeyError:
+            out = min((t for t in image if t not in index), key=monomial_sort_key)
+            raise ImageOutsideCodomain(
+                f"{op.label} maps {render_poly(monomial_poly(mono))} to a term "
+                f"{render_poly(monomial_poly(out, QQ(image[out], d)))} outside codomain {codomain}"
+            ) from None
         dens.append(d)
     den = lcm(1, *set(dens))
     columns = [col if d == den else {r: v * (den // d) for r, v in col.items()}

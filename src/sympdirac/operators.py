@@ -32,18 +32,31 @@ merged, and only those, so this is no normal ordering; constant scalars
 are folded into one rational.
 
 Each input tri-degree gets an integer plan, built once: a denominator D
-and, aligned with the words, each word's scalar times D. Euler scalars are
-evaluated only there, and only for the words that can hit a monomial of
-that degree (in each of the x, y, z blocks, the least exponents the word
-needs sum to at most the block's degree). A word whose Euler denominator
-vanishes gets 0 and is listed as singular; SingularEulerDenominator is
-raised on every call on which such a word hits the monomial, so Pi_L is
-defined where L already kills. Application then runs on integers, and a
-rational is formed only where a result leaves this layer: apply_op forms
-one per output entry, and matrix_of (linalg) takes the integer images
-with their D. The compiled path and the normal form share no helper, and
-only the extensional checks apply composed operators, so the extensional
-and symbolic certificates share neither a helper nor `compose` and stay
+and the words whose scalar is nonzero there, each with its scalar times
+D. Euler scalars are evaluated only there, and only for the words that
+can hit a monomial of that degree (in each of the x, y, z blocks, the
+least exponents the word needs sum to at most the block's degree). A
+word annihilates every monomial that lacks the variable i of one of its
+offsets (i, k) with k <= 0 (see Word), so the plan groups its words by
+dispatch key, the variable each needs most; words that need none form an
+always group. A monomial runs the groups of the variables it contains
+and the always group, and every word it skips would have given 0, so
+skipping is exact. A word whose Euler denominator vanishes is left out
+of the plan and listed as singular; SingularEulerDenominator is raised
+for every monomial such a word hits, so Pi_L is defined where L already
+kills.
+
+The one application path, integer_images, runs an operator over a
+sequence of monomials on integers. It checks every monomial (its length,
+its singular hits) but fetches the plan again only when the tri-degree
+changes, so a block's basis, one run per tri-degree in canonical order,
+looks up each plan once. A rational is formed only where a result leaves
+this layer: apply_op forms one per output entry, and matrix_of (linalg)
+and the extensional sweeps (verify) take the integer images with their D.
+
+The compiled path and the normal form share no helper, and only the
+extensional checks apply composed operators, so the extensional and
+symbolic certificates share neither a helper nor `compose` and stay
 independent checks of each other.
 """
 
@@ -52,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .rationals import QQ
 from .polys import (
@@ -62,8 +75,8 @@ from .polys import (
     VariableId,
     _BLOCK_SLOT,
     add_scaled,
+    monomial_m,
     poly_add_term,
-    tri_degree_of,
     var_at,
     x_,
     y_,
@@ -174,12 +187,23 @@ class OperatorTerm:
 # pairs each contributing the factor mono[i] + k (k is what the earlier
 # actions did to exponent i), and its net exponent change, (i, c) pairs
 # with c != 0. The image of mono is the product of the factors times
-# mono + change, and it is zero exactly when one factor is.
+# mono + change, and it is zero exactly when one factor is. Exponent i only
+# falls by derivatives, one step each, so it passes a derivative at 0
+# before any factor mono[i] + k can be negative: the word annihilates every
+# monomial with mono[i] < 1 - k for one of its offsets. Its dispatch key is
+# the i that needs the most, the largest 1 - k >= 1 (the least such i on
+# ties), or None when no offset needs anything.
 Word = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]
-# The integer plan of an operator at one input tri-degree: (D, the words'
-# scalars times D, aligned with the words, the words that hit some
-# monomial of that degree but whose Euler denominator vanishes there).
-Plan = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+# A word in a plan: its offsets, its change and its scalar times D.
+Entry = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], int]
+# The integer plan of an operator at one input tri-degree: (D; the groups,
+# one (i, entries) per variable i that keys some word with a nonzero
+# scalar there, by increasing i; the always group, the entries keyed by
+# None; the indices of the words that hit some monomial of that degree
+# but whose Euler denominator vanishes there). A monomial runs the groups
+# whose variable it contains and the always group: every word it skips
+# annihilates it, so skipping is exact.
+Plan = Tuple[int, Tuple[Tuple[int, Tuple[Entry, ...]], ...], Tuple[Entry, ...], Tuple[int, ...]]
 
 
 class LinearOperator:
@@ -208,11 +232,11 @@ class LinearOperator:
 
 class _Compiled:
     """The compiled form of one operator at one m: its words, and per word
-    the least degree in each of the x, y, z blocks of a monomial it does
-    not annihilate, its folded constant and its Euler scalars; plus the
-    integer plan of each input tri-degree met so far."""
+    its dispatch key, the least degree in each of the x, y, z blocks of a
+    monomial it does not annihilate, its folded constant and its Euler
+    scalars; plus the integer plan of each input tri-degree met so far."""
 
-    __slots__ = ("words", "scalars", "plans")
+    __slots__ = ("words", "keys", "scalars", "plans")
 
     def __init__(self, terms: Tuple[OperatorTerm, ...], m: int):
         merged: Dict[Word, list] = {}
@@ -238,15 +262,16 @@ class _Compiled:
                 entry[0] += QQ(s.coeff)
         kept = [(word, const, eulers) for word, (const, eulers) in merged.items() if const or eulers]
         self.words: Tuple[Word, ...] = tuple(word for word, _, _ in kept)
+        self.keys: Tuple[Optional[int], ...] = tuple(_dispatch_key(word[0]) for word in self.words)
         self.scalars = tuple((_least_block_degrees(word[0], m), const, tuple(eulers))
                              for word, const, eulers in kept)
         self.plans: Dict[TriDegree, Plan] = {}
 
     def plan(self, d: TriDegree, label: str) -> Plan:
-        """The plan at d, built on first use. A word gets 0 when it cannot
-        hit a monomial of degree d, so its Euler scalars are not
+        """The plan at d, built on first use. A word is left out when it
+        cannot hit a monomial of degree d, so its Euler scalars are not
         evaluated, or when its scalar vanishes at d; a word whose Euler
-        denominator vanishes at d gets 0 and is listed as singular."""
+        denominator vanishes at d is left out and listed as singular."""
         plan = self.plans.get(d)
         if plan is not None:
             return plan
@@ -262,9 +287,21 @@ class _Compiled:
                     s = 0
             values.append(s)
         den = lcm(1, *{s.denominator for s in values})
-        nums = tuple(s.numerator * (den // s.denominator) for s in values)
-        plan = self.plans[d] = (den, nums, tuple(singular))
+        groups: Dict[Optional[int], List[Entry]] = {}
+        for (offsets, change), key, s in zip(self.words, self.keys, values):
+            if s:
+                groups.setdefault(key, []).append((offsets, change, s.numerator * (den // s.denominator)))
+        always = tuple(groups.pop(None, ()))
+        keyed = tuple((i, tuple(groups[i])) for i in sorted(groups))
+        plan = self.plans[d] = (den, keyed, always, tuple(singular))
         return plan
+
+
+def _dispatch_key(offsets: Tuple[Tuple[int, int], ...]) -> Optional[int]:
+    """The variable a word with these derivative offsets needs most (see
+    Word), or None when it needs none."""
+    needs = [(k, i) for i, k in offsets if k <= 0]
+    return min(needs)[1] if needs else None
 
 
 def _least_block_degrees(offsets: Tuple[Tuple[int, int], ...], m: int) -> Tuple[int, int, int]:
@@ -280,56 +317,63 @@ def _least_block_degrees(offsets: Tuple[Tuple[int, int], ...], m: int) -> Tuple[
     return tuple(out)
 
 
-def _prepare(op: LinearOperator, mono: Monomial) -> Tuple[Tuple[Word, ...], int, Tuple[int, ...]]:
-    """(words, D, numerators) of op's plan at the tri-degree of mono.
-    Raises SingularEulerDenominator if a word whose denominator vanishes
-    there hits mono, on every call."""
-    d = tri_degree_of(mono)  # raises ValueError unless len(mono) == 3m
-    m = len(mono) // 3
-    comp = op.compiled.get(m)
-    if comp is None:
-        comp = op.compiled[m] = _Compiled(op.terms, m)
-    den, nums, singular = comp.plan(d, op.label)
-    for j in singular:
-        if all(mono[i] + k for i, k in comp.words[j][0]):
-            raise SingularEulerDenominator(op.label, d)
-    return comp.words, den, nums
-
-
-def _run(words: Tuple[Word, ...], nums: Tuple[int, ...], mono: Monomial,
-         out: Dict[Monomial, int], mult: int) -> None:
-    """out += mult * sum_j nums[j] * word_j(mono), on integers; entries
-    that cancel are dropped."""
-    for (offsets, change), n in zip(words, nums):
-        if not n:
-            continue
-        f = n * mult
-        for i, k in offsets:
-            f *= mono[i] + k
-        if not f:
-            continue
-        exps = list(mono)
-        for i, c in change:
-            exps[i] += c
-        key = tuple(exps)
-        v = out.get(key)
-        if v is None:
-            out[key] = f
-        else:
-            v += f
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-
-
-def integer_image(op: LinearOperator, mono: Monomial) -> Tuple[Dict[Monomial, int], int]:
-    """(v, D) with op(mono) = v / D entrywise: D is the denominator of op's
-    plan at the tri-degree of mono, v has integer entries."""
-    words, den, nums = _prepare(op, mono)
+def _run(keyed: Tuple[Tuple[int, Tuple[Entry, ...]], ...], always: Tuple[Entry, ...],
+         mono: Monomial) -> Dict[Monomial, int]:
+    """The image of mono under a plan's entries, on integers: the groups
+    whose variable mono contains, then the always group. Entries that
+    cancel are dropped."""
     out: Dict[Monomial, int] = {}
-    _run(words, nums, mono, out, 1)
-    return out, den
+    hit = [entries for i, entries in keyed if mono[i]]
+    hit.append(always)
+    for entries in hit:
+        for offsets, change, f in entries:
+            for i, k in offsets:
+                f *= mono[i] + k
+            if not f:
+                continue
+            exps = list(mono)
+            for i, c in change:
+                exps[i] += c
+            key = tuple(exps)
+            v = out.get(key)
+            if v is None:
+                out[key] = f
+            else:
+                v += f
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
+
+
+def integer_images(op: LinearOperator, monos: Iterable[Monomial]) -> Iterator[Tuple[Dict[Monomial, int], int]]:
+    """(v, D) for each monomial of monos, in order, with op(mono) = v / D
+    entrywise: D is the denominator of op's plan at the tri-degree of
+    mono, v has integer entries. The compiled form is fetched again only
+    when the length of the monomials changes, and the plan only when
+    their tri-degree does, so each run of one tri-degree (a block's basis
+    is one run per tri-degree) looks its plan up once. Each monomial is
+    checked: a length that is not 3m raises ValueError, and a word whose
+    Euler denominator vanishes at its tri-degree raises
+    SingularEulerDenominator if it hits the monomial."""
+    n = d = None
+    for mono in monos:
+        if len(mono) != n:
+            m = monomial_m(mono)  # raises ValueError unless len(mono) == 3m
+            n = len(mono)
+            comp = op.compiled.get(m)
+            if comp is None:
+                comp = op.compiled[m] = _Compiled(op.terms, m)
+            d = None
+        deg = (sum(mono[:m]), sum(mono[m:2 * m]), sum(mono[2 * m:]))
+        if deg != d:
+            d = deg
+            den, keyed, always, singular = comp.plan(TriDegree(*deg), op.label)
+        for j in singular:
+            if all(mono[i] + k for i, k in comp.words[j][0]):
+                raise SingularEulerDenominator(op.label, TriDegree(*deg))
+        yield _run(keyed, always, mono), den
 
 
 def apply_op(op: LinearOperator, p: Poly) -> Poly:
@@ -339,15 +383,14 @@ def apply_op(op: LinearOperator, p: Poly) -> Poly:
     common = lcm(1, *{c.denominator for c in p.values()})
     out: Dict[Monomial, int] = {}
     den = 1
-    for mono, c in p.items():
-        words, d, nums = _prepare(op, mono)
+    for (image, d), c in zip(integer_images(op, p), p.values()):
         if den % d:
             grown = lcm(den, d)
             f = grown // den
             for key in out:
                 out[key] *= f
             den = grown
-        _run(words, nums, mono, out, c.numerator * (common // c.denominator) * (den // d))
+        add_scaled(out, image, c.numerator * (common // c.denominator) * (den // d))
     den *= common
     if den == 1:
         return {key: QQ(v) for key, v in out.items()}

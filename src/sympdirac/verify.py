@@ -54,7 +54,7 @@ from .operators import (
     catalog,
     commutator,
     identity_op,
-    integer_image,
+    integer_images,
     normal_form,
     nf_bracket,
     nf_sum,
@@ -140,8 +140,8 @@ def _nonzero_images(op: LinearOperator, monos: Sequence[Monomial]) -> Tuple[int,
     Runs on the operator's integer images; no rational is formed."""
     bad = 0
     first = None
-    for mono in monos:
-        if integer_image(op, mono)[0]:
+    for mono, (image, _) in zip(monos, integer_images(op, monos)):
+        if image:
             bad += 1
             if first is None:
                 first = mono

@@ -1,5 +1,6 @@
 """End to end checks of the report command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -241,3 +242,34 @@ def test_benchmark_tracer_binds_every_name(tmp_path):
                         "--out", str(tmp_path / "s.json")],
                        cwd=root, env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def _report_digest(text):
+    """SHA-256 of a JSON report with every elapsed_s field removed, the
+    digest perfbench/rep.py gates the benchmark's report workloads on."""
+    def strip(node):
+        if isinstance(node, dict):
+            return {k: strip(v) for k, v in node.items() if k != "elapsed_s"}
+        if isinstance(node, list):
+            return [strip(v) for v in node]
+        return node
+
+    canon = json.dumps(strip(json.loads(text)), sort_keys=True)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("workload, a_max, suites", [
+    ("report_default", 4, None),
+    ("kernels_deep", 5, ("table_ker", "l_fischer", "multiplicity", "s0_branching")),
+])
+def test_reports_match_benchmark_digests(workload, a_max, suites):
+    # a reordered or changed check fails here, not only in the benchmark
+    from sympdirac import cli
+    from sympdirac.verify import SUITES
+
+    root = Path(__file__).resolve().parents[1]
+    expected = json.loads((root / "perfbench" / "expected.json").read_text(encoding="utf-8"))[workload]
+    report = cli.build_report(6, a_max, a_max, list(suites or SUITES), jobs=1)
+    assert sum(len(s["checks"]) for s in report["suites"]) == expected["checks"]
+    assert report["summary"]["fail"] == 0
+    assert _report_digest(cli.render_json(report)) == expected["digest"]

@@ -17,7 +17,7 @@ from sympdirac.operators import (
     compose,
     der_,
     identity_op,
-    integer_image,
+    integer_images,
     mul_,
     nf_bracket,
     nf_product,
@@ -292,6 +292,23 @@ def test_matrix_of_rejects_escaping_images(cat):
         matrix_of(cat["D_s_dag"], dom, dom)
 
 
+def test_escaping_witness_is_least_term_in_canonical_order():
+    from sympdirac.linalg import ImageOutsideCodomain
+
+    # z1 goes to 3 y1^2 + x1 z1 / 2, both outside; y1^2 comes first in the
+    # terms and x1 z1 first in the canonical order, so the witness does
+    # not depend on the order in which words fire
+    op = LinearOperator("op", [
+        OperatorTerm(EulerScalar(3), (der_(z_(1)), mul_(y_(1)), mul_(y_(1)))),
+        OperatorTerm(EulerScalar(QQ(1, 2)), (mul_(x_(1)),)),
+    ])
+    dom = Block(M, [TriDegree(0, 0, 1)])
+    with pytest.raises(ImageOutsideCodomain) as exc:
+        matrix_of(op, dom, dom)
+    assert str(exc.value) == ("op maps z1 to a term 1/2*x1*z1 outside codomain "
+                              "Block(m=6, tri_degrees=[(0,0,1)], dim=6)")
+
+
 # ---------------------------------------------------------------------------
 # the compiled operator path against an independent word-by-word reference
 
@@ -480,7 +497,8 @@ def test_apply_op_over_two_degrees_with_denominators(cat):
     # and the coefficients have denominators 3 and 5
     a, b = mono(y1=1, z1=1, z2=1), mono(y2=1, z1=1)
     p = {a: QQ(1, 3), b: QQ(-2, 5)}
-    assert integer_image(cat["Pi_L"], a)[1] != integer_image(cat["Pi_L"], b)[1]
+    (_, den_a), (_, den_b) = integer_images(cat["Pi_L"], [a, b])
+    assert den_a != den_b
     for name in ("Pi_L", "S_yz", "C_xz", "C_yz", "Casimir"):
         assert assert_matches_reference(cat[name], p)
         assert all(apply_op(cat[name], p).values())
@@ -509,6 +527,62 @@ def test_projector_matrix_singular_or_lazy(cat):
     blk = Verifier(M, cat).eigenblock(1, -1).block
     mat = matrix_of(cat["Pi_L"], blk, blk)
     assert mat.integer_form() == (1, [{i: 1} for i in range(blk.dim)])
+
+
+# ---------------------------------------------------------------------------
+# the batch path: words dispatched by the variables they differentiate
+
+
+def assert_batch_matches_reference(op, monos):
+    """integer_images(op, monos) gives reference_apply's image of each
+    monomial in turn, or raises SingularEulerDenominator exactly at the
+    first monomial where the reference does. True iff nothing raised."""
+    images = integer_images(op, monos)
+    for b_mono in monos:
+        try:
+            want = reference_apply(op, {b_mono: QQ(1)})
+        except SingularEulerDenominator:
+            with pytest.raises(SingularEulerDenominator):
+                next(images)
+            return False
+        v, den = next(images)
+        assert {out: QQ(c, den) for out, c in v.items()} == want, (op.label, b_mono)
+    assert next(images, None) is None
+    return True
+
+
+def test_batch_images_match_reference_on_eigenblocks(cat):
+    # (1,-1), (0,1), (1,0) and (1,1) are one, one, one and two tri-degrees;
+    # on (3,-1) Pi_L's denominator vanishes where L does not kill
+    ver = Verifier(M, cat)
+    blocks = [ver.eigenblock(k, t).block.basis for k, t in ((1, -1), (0, 1), (1, 0), (1, 1))]
+    for op in cat.values():
+        for basis in blocks:
+            assert assert_batch_matches_reference(op, basis)
+    assert not assert_batch_matches_reference(cat["Pi_L"], ver.eigenblock(3, -1).block.basis)
+
+
+def test_batch_images_refetch_the_plan_when_the_tri_degree_changes(cat):
+    # A, B, A: the plans of (0,1,0) and (1,0,2) have different D
+    a = monomial_basis(M, TriDegree(0, 1, 0))
+    b = monomial_basis(M, TriDegree(1, 0, 2))[:40]
+    monos = a[:3] + b + a[3:]
+    dens = {name: [den for _, den in integer_images(cat[name], monos)] for name in ("Pi_L", "S_xz")}
+    for name in ("Pi_L", "S_xz", "C_xz", "Casimir", "L", "D_s_dag", "R"):
+        assert assert_batch_matches_reference(cat[name], monos)
+    for got in dens.values():
+        assert got[0] != got[3] and got[:3] == got[-3:]
+
+
+def test_batch_images_check_every_monomial(cat):
+    valid = [mono(x1=1, z6=1), mono(y2=1, z6=1)]
+    for name in ("Casimir", "D_s_dag", "Id"):
+        with pytest.raises(ValueError):
+            list(integer_images(cat[name], valid + [(1,) + (0,) * 16]))
+    # x1 is fine for Pi_L (L kills it); x1^2 y1 is hit by a singular word
+    for _ in range(2):
+        with pytest.raises(SingularEulerDenominator):
+            list(integer_images(cat["Pi_L"], [mono(x1=1), mono(x1=2, y1=1)]))
 
 
 # ---------------------------------------------------------------------------
