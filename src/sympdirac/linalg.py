@@ -8,6 +8,10 @@ the operators' integer images (operator_matrix keeps it on the operator),
 and nullspaces, stacks, nullspace membership and the Casimir certificate
 in repn read it as it is.
 
+Vectors are integer rows in one block's coordinates. An operator reaches
+one only as its kept block matrix times a row (`mul_int_vec`); `reindex`
+moves a row to another block by the monomial each coordinate stands for.
+
 Elimination runs on denominator-cleared integer rows in two phases, both
 through one fraction-free step (`_combine`: cross-multiply by the two
 leading entries, then strip the gcd, so coefficients stay small):
@@ -32,9 +36,9 @@ free columns of its row; the basis read off the reduced rows is then
 already the canonical basis with respect to the original order.
 
 Spans, ranks and membership tests take vectors with int or rational
-entries. Integer vectors are used as they are; a rational one has its
-denominators cleared first. Every rank is the exact rank of integer
-elimination.
+entries and ignore their scale. Integer vectors are used as they are; a
+rational one has its denominators cleared first. Every rank is the exact
+rank of integer elimination.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rationals import QQ
-from .polys import Block, add_scaled, monomial_poly, monomial_sort_key, render_poly
+from .polys import Block, Monomial, add_scaled, monomial_poly, monomial_sort_key, render_poly
 from .operators import integer_images
 
 Row = Dict[int, QQ]  # sparse vector / matrix row
@@ -55,7 +59,8 @@ class AmbientMismatch(Exception):
 
 
 class ImageOutsideCodomain(Exception):
-    """An operator image has a component outside the requested codomain."""
+    """An operator image, or a row moved by reindex, has a component
+    outside the requested codomain."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +84,6 @@ def _primitive(row: IntRow) -> IntRow:
     if row[min(row)] < 0:
         g = -g
     return row if g == 1 else {c: v // g for c, v in row.items()}
-
-
-def to_int_row(row: Row) -> IntRow:
-    """The primitive integer multiple of row (see _primitive)."""
-    return _primitive(_clear(row)[1])
 
 
 def _combine(row: IntRow, lead: int, piv: IntRow, piv_lead: int) -> IntRow:
@@ -435,18 +435,23 @@ def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# helpers for moving between polynomials and coordinates
+# moving between coordinates and polynomials
 
-def poly_to_vec(p, block: Block) -> Row:
-    vec: Row = {}
-    for mono, c in p.items():
-        pos = block.index.get(mono)
-        if pos is None:
+def reindex(rows: Iterable[IntRow], frm: Sequence[Monomial], to: Block) -> List[IntRow]:
+    """rows, whose coordinate i stands for the monomial frm[i], in the
+    coordinates of block to. A monomial outside to raises
+    ImageOutsideCodomain, naming the least such monomial of the first row
+    that has one."""
+    index = to.index
+    out: List[IntRow] = []
+    for row in rows:
+        try:
+            out.append({index[frm[i]]: v for i, v in row.items()})
+        except KeyError:
+            mono = min((frm[i] for i in row if frm[i] not in index), key=monomial_sort_key)
             raise ImageOutsideCodomain(
-                f"polynomial term {render_poly(monomial_poly(mono, c))} outside block {block}"
-            )
-        vec[pos] = c
-    return vec
+                f"row term {render_poly(monomial_poly(mono))} outside block {to}") from None
+    return out
 
 
 def vec_to_poly(vec: Row, block: Block):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import merge
 from math import comb
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
@@ -156,10 +157,12 @@ class Block:
             raise ValueError(f"m must be >= 6 (stable range), got {m}")
         self.m = m
         self.tri_degrees: Tuple[TriDegree, ...] = tuple(sorted(set(TriDegree(*d) for d in tri_degrees)))
+        # each tri-degree's basis is sorted and lower totals come first, so
+        # only tri-degrees of equal total are merged
         basis: List[Monomial] = []
-        for d in self.tri_degrees:
-            basis.extend(monomial_basis(m, d))
-        basis.sort(key=monomial_sort_key)
+        for total in sorted({d.total for d in self.tri_degrees}):
+            basis.extend(merge(*(monomial_basis(m, d) for d in self.tri_degrees if d.total == total),
+                               key=monomial_sort_key))
         self.basis: List[Monomial] = basis
         self.index: Dict[Monomial, int] = {mono: i for i, mono in enumerate(basis)}
 
@@ -216,12 +219,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    add_scaled(out, q, -1)
-    return out
-
-
 def poly_scale(p: Poly, coeff) -> Poly:
     c = QQ(coeff)
     if not c:
@@ -249,17 +246,6 @@ def multiply_by(p: Poly, v: VariableId) -> Poly:
         i = v.flat(monomial_m(mono))
         raised = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
         out[raised] = c
-    return out
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    """General product; only used for building test inputs, never in the
-    operator hot path."""
-    out: Poly = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            mono = tuple(a + b for a, b in zip(ma, mb))
-            poly_add_term(out, mono, ca * cb)
     return out
 
 

@@ -7,6 +7,9 @@ formula for spherical harmonics, the elimination-of-harmonics formula
 for hook weights (lambda2 = 1), and the Weyl product over the positive
 roots of so(m), which covers everything and cross-checks the other two.
 
+Spherical harmonics exist only as harmonic_space's integer rows, in the
+coordinates of the z-only block of their degree, and are used as they are.
+
 Verma modules enter only through their lowest weight; the sl(2) raising
 and lowering bookkeeping is checked against measured structure constants
 on explicit polynomial realizations.
@@ -192,7 +195,8 @@ def zonly_basis(m: int, d: int) -> Tuple[Tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def harmonic_space(m: int, a: int) -> Subspace:
     """Kernel of the Laplacian on degree-a polynomials in m variables,
-    as a subspace in the coordinates of zonly_basis(m, a).
+    as a subspace in the coordinates of zonly_basis(m, a), which for
+    m >= 6 are those of the z-only Block of tri-degree (0, 0, a).
 
     Works below the stable range too (m >= 2); the full graded machinery
     is bypassed on purpose so small-m sanity checks stay possible.
@@ -211,23 +215,6 @@ def harmonic_space(m: int, a: int) -> Subspace:
                 col[codo_index[tgt]] = e * (e - 1)
         columns.append(col)
     return RationalMatrix.from_integer_form(len(codo), len(basis), 1, columns).nullspace()
-
-
-def harmonic_polys(m: int, a: int) -> List[Dict[Tuple[int, ...], QQ]]:
-    """Basis of H_a(R^m) as polynomials keyed by exponent tuples."""
-    basis = zonly_basis(m, a)
-    return [{basis[i]: c for i, c in row.items()} for row in harmonic_space(m, a).rows]
-
-
-def embed_z(m: int, zpoly: Dict[Tuple[int, ...], QQ]) -> Poly:
-    """A polynomial in m variables, reread as a z-only element of P(R^{m x 3})."""
-    pad = (0,) * (2 * m)
-    return {pad + mono: c for mono, c in zpoly.items()}
-
-
-@lru_cache(maxsize=None)
-def harmonic_polys_embedded(m: int, a: int) -> Tuple[Poly, ...]:
-    return tuple(embed_z(m, p) for p in harmonic_polys(m, a))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ and of the grading operator script-E with eigenvalue m/2 + t. Suites
 construct the advertised subspaces explicitly, compute kernels as exact
 nullspaces, and check direct-sum decompositions with exact ranks.
 
+Every vector is an integer row in one block's coordinates; harmonics are
+repn.harmonic_space's rows, in z-only eigenblock coordinates. An operator
+reaches a vector only as its block matrix kept on the operator
+(linalg.operator_matrix) times a row, and multiplying by a variable is a
+change of coordinates (linalg.reindex). A polynomial is formed only for a
+witness.
+
 Check rows carry their parameters and both sides of every comparison, so
 a report can be replayed; failures carry a witness in canonical
 polynomial syntax. Rows depend only on (m, ranges, operator catalog) and
@@ -23,13 +30,9 @@ from .rationals import QQ, qq_str
 from .polys import (
     Block,
     Monomial,
-    Poly,
     TriDegree,
     add_scaled,
     monomial_poly,
-    poly_mul,
-    poly_scale,
-    poly_sub,
     render_poly,
     tri_degrees_of_total,
     var_at,
@@ -39,12 +42,10 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     is_direct_sum,
-    matrix_of,
     operator_matrix,
-    poly_to_vec,
     rank_certified,
+    reindex,
     stack_matrices,
-    to_int_row,
     vec_to_poly,
 )
 from .operators import (
@@ -70,7 +71,6 @@ from .repn import (
     components_at_level,
     dim_weight,
     harmonic_dim,
-    harmonic_polys_embedded,
     harmonic_space,
     simplicial_harmonics,
 )
@@ -135,6 +135,11 @@ def _eigenblock(m: int, k: int, t: int) -> EigenBlock:
     return EigenBlock(m, k, t, Block(m, degs))
 
 
+def _times_var(block: Block, i: int) -> List[Monomial]:
+    """block's basis monomials times the variable at flat position i."""
+    return [mono[:i] + (mono[i] + 1,) + mono[i + 1:] for mono in block.basis]
+
+
 def _nonzero_images(op: LinearOperator, monos: Sequence[Monomial]) -> Tuple[int, Optional[Monomial]]:
     """How many of monos op does not send to 0, and the first of them.
     Runs on the operator's integer images; no rational is formed."""
@@ -150,10 +155,10 @@ def _nonzero_images(op: LinearOperator, monos: Sequence[Monomial]) -> Tuple[int,
 
 class Verifier:
     """Runs the suites over a read-only copy of an operator catalog, so a
-    later edit of the caller's dict reaches no Verifier. Eigenblocks,
-    kernels, lowest-weight spaces and families are kept in one memo keyed
-    by name and parameters; nothing they depend on can change. Operator
-    matrices live on the operators (linalg.operator_matrix)."""
+    later edit of the caller's dict reaches no Verifier. Blocks, kernels,
+    lowest-weight spaces and families are kept in one memo keyed by name
+    and parameters; nothing they depend on can change. Operator matrices
+    live on the operators (linalg.operator_matrix)."""
 
     def __init__(self, m: int, cat: Optional[Mapping[str, LinearOperator]] = None):
         self.m = m
@@ -187,17 +192,27 @@ class Verifier:
         return self._memoized(("lowest_weight_space", k, t), lambda: stack_matrices(
             [self.dirac_matrix(k, t), self.lowering_matrix(k, t)]).nullspace())
 
-    # -- conversions: spans and membership do not change when a vector is
-    # scaled, so family vectors are kept as primitive integer rows
+    # -- operators on integer rows: spans and membership do not change when
+    # a vector is scaled, so an image keeps its matrix's denominator
 
-    def to_vecs(self, polys: Sequence[Poly], eb: EigenBlock) -> List[IntRow]:
-        return [to_int_row(poly_to_vec(p, eb.block)) for p in polys if p]
+    def _images(self, name: str, rows: Sequence[IntRow], dom: Block, cod: Block) -> List[IntRow]:
+        """D times the images of rows under the operator name, D the
+        denominator of its block matrix from dom to cod."""
+        mat = operator_matrix(self.cat[name], dom, cod)
+        return [mat.mul_int_vec(row) for row in rows]
 
-    def revec(self, space: Subspace, from_block: Block, eb: EigenBlock) -> List[IntRow]:
-        return [poly_to_vec(vec_to_poly(row, from_block), eb.block) for row in space.int_rows]
+    def _raised(self, name: str, rows: Sequence[IntRow], k: int, low: int, t: int) -> List[IntRow]:
+        """rows of eigenblock (k, low) under the operator name applied
+        (t - low) / 2 times, each time from (k, l) to (k, l + 2)."""
+        for level in range(low, t, 2):
+            rows = self._images(name, rows, self.eigenblock(k, level).block,
+                                self.eigenblock(k, level + 2).block)
+        return rows
 
-    def span(self, vecs: Sequence[Dict[int, QQ]], eb: EigenBlock) -> Subspace:
-        return Subspace.from_vectors(eb.block.dim, vecs)
+    def _y_block(self, a: int) -> Block:
+        """Eigenblock (1, a-1)'s tri-degree (0, 1, a-2), empty for a < 2."""
+        return self._memoized(("y_block", a),
+                              lambda: Block(self.m, [TriDegree(0, 1, a - 2)] if a >= 2 else []))
 
     # -- the five families over H_{a-1}..H_{a+1} in the k=1 block at t = a-1
 
@@ -205,55 +220,67 @@ class Verifier:
         return self._memoized(("families", a), lambda: self._build_families(a))
 
     def _build_families(self, a: int) -> Dict[str, object]:
-        m, cat = self.m, self.cat
+        m = self.m
         eb = self.eigenblock(1, a - 1)
-        fam = {"eb": eb}
+        yb = self._y_block(a)
+        fam: Dict[str, object] = {"eb": eb}
+
+        def harmonics(e: int) -> Tuple[List[IntRow], Block]:
+            return harmonic_space(m, e).int_rows, self.eigenblock(0, e).block
+
+        def nonzero(rows: List[IntRow]) -> List[IntRow]:
+            return [row for row in rows if row]
 
         if a >= 1:
             blk, sp = simplicial_harmonics(m, a, 1, "z", "x")
-            fam["hook_x"] = self.revec(sp, blk, eb)
+            fam["hook_x"] = reindex(sp.int_rows, blk.basis, eb.block)
         else:
             fam["hook_x"] = []
 
-        fam["s_x"] = self.to_vecs([apply_op(cat["S_xz"], h) for h in harmonic_polys_embedded(m, a + 1)], eb)
+        fam["s_x"] = nonzero(self._images("S_xz", *harmonics(a + 1), eb.block))
 
         if a >= 3:
+            # sp's block has yb's one tri-degree, so sp's rows are yb's coordinates
             blk, sp = simplicial_harmonics(m, a - 2, 1, "z", "y")
-            raw = [vec_to_poly(row, blk) for row in sp.int_rows]
-            fam["hook_y_raw"] = self.to_vecs(raw, eb)
-            fam["hook_y"] = self.to_vecs([apply_op(cat["Pi_L"], p) for p in raw], eb)
-            raw_c = [apply_op(cat["C_yz"], h) for h in harmonic_polys_embedded(m, a - 3)]
-            fam["c_y_raw"] = self.to_vecs(raw_c, eb)
-            fam["c_y"] = self.to_vecs([apply_op(cat["Pi_L"], p) for p in raw_c], eb)
+            fam["hook_y_raw"] = reindex(sp.int_rows, blk.basis, eb.block)
+            fam["hook_y"] = nonzero(self._images("Pi_L", sp.int_rows, yb, eb.block))
+            raw_c = nonzero(self._images("C_yz", *harmonics(a - 3), yb))
+            fam["c_y_raw"] = reindex(raw_c, yb.basis, eb.block)
+            fam["c_y"] = nonzero(self._images("Pi_L", raw_c, yb, eb.block))
         else:
             fam["hook_y_raw"] = fam["hook_y"] = fam["c_y_raw"] = fam["c_y"] = []
 
         # the split over H_{a-1}: per harmonic H the two vectors
         # C_xz H and Pi_L S_yz H carry one kernel direction and one
-        # D_s_dag-image direction between them
+        # D_s_dag-image direction between them. Their ratio is reported,
+        # so each is brought to one scale: times the other's denominators.
         kernel_combos: List[IntRow] = []
         image_vecs: List[IntRow] = []
         ratios = set()
         if a >= 1:
-            k0 = self.eigenblock(0, a - 1)
-            for h in harmonic_polys_embedded(m, a - 1):
-                v1 = apply_op(cat["C_xz"], h)
-                v2 = apply_op(cat["Pi_L"], apply_op(cat["S_yz"], h))
+            hs, k0 = harmonics(a - 1)
+            cx = operator_matrix(self.cat["C_xz"], k0, eb.block)
+            sy = operator_matrix(self.cat["S_yz"], k0, yb)
+            pi = operator_matrix(self.cat["Pi_L"], yb, eb.block)
+            ds = self.dirac_matrix(1, a - 1)
+            d1 = cx.integer_form()[0]
+            d2 = sy.integer_form()[0] * pi.integer_form()[0]
+            for h in hs:
+                v2 = pi.mul_int_vec(sy.mul_int_vec(h), d1)
                 if v2:
-                    w1 = apply_op(cat["D_s"], v1)
-                    w2 = apply_op(cat["D_s"], v2)
-                    cols = [poly_to_vec(w, k0.block) for w in (w1, w2)]
-                    null = RationalMatrix(k0.block.dim, 2, cols).nullspace()
+                    v1 = cx.mul_int_vec(h, d2)
+                    cols = [ds.mul_int_vec(v1), ds.mul_int_vec(v2)]
+                    null = RationalMatrix.from_integer_form(k0.dim, 2, 1, cols).nullspace()
                     if null.dim == 1:
                         combo = null.rows[0]
-                        c1, c2 = combo.get(0, QQ(0)), combo.get(1, QQ(0))
-                        ratios.add((qq_str(c1), qq_str(c2)))
-                        merged = poly_scale(v1, c1)
-                        add_scaled(merged, v2, c2)
-                        kernel_combos.append(to_int_row(poly_to_vec(merged, eb.block)))
+                        ratios.add((qq_str(combo.get(0, QQ(0))), qq_str(combo.get(1, QQ(0)))))
+                        n = null.int_rows[0]
+                        merged = {c: n.get(0, 0) * v for c, v in v1.items()}
+                        add_scaled(merged, v2, n.get(1, 0))
+                        kernel_combos.append(merged)
                     else:
                         ratios.add(("degenerate", str(null.dim)))
-                image_vecs.append(to_int_row(poly_to_vec(apply_op(cat["D_s_dag"], h), eb.block)))
+            image_vecs = self._images("D_s_dag", hs, k0, eb.block)
         fam["split_kernel"] = kernel_combos
         fam["split_image"] = image_vecs
         fam["split_ratios"] = tuple(sorted(ratios))
@@ -348,15 +375,13 @@ class Verifier:
         for a in range(top + 1):
             rows.append(_row("harmonic_dim_vs_nullspace", {"a": a},
                              harmonic_dim(m, a), harmonic_space(m, a).dim))
-        z2 = {(0,) * (2 * m) + tuple(2 if i == j else 0 for i in range(m)): QQ(1) for j in range(m)}
         for d in range(top + 1):
             eb = self.eigenblock(0, d)
+            # |z|^{2p} H_{d-2p}, one factor sl_h_X = |z|^2 / 2 at a time
             parts = []
             for p in range(d // 2 + 1):
-                polys = list(harmonic_polys_embedded(m, d - 2 * p))
-                for _ in range(p):
-                    polys = [poly_mul(q, z2) for q in polys]
-                parts.append(self.span(self.to_vecs(polys, eb), eb))
+                vecs = self._raised("sl_h_X", harmonic_space(m, d - 2 * p).int_rows, 0, d - 2 * p, d)
+                parts.append(Subspace.from_vectors(eb.block.dim, vecs))
             ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
             rows.append(_row("fischer_z_decomposition", {"d": d, "dim": eb.block.dim,
                                                          "parts": [s.dim for s in parts]}, True, ok))
@@ -366,7 +391,7 @@ class Verifier:
     # suite: table_ker (kernel of L on k=1 blocks)
 
     def table_ker(self, a_max: int) -> List[CheckResult]:
-        m, cat = self.m, self.cat
+        m = self.m
         rows: List[CheckResult] = []
         for a in range(a_max + 1):
             t = a - 1
@@ -376,25 +401,22 @@ class Verifier:
             rows.append(_row("kernel_L_dim", {"a": a, "block_dim": eb.block.dim},
                              expected_dim, ker.dim))
 
-            xs: List[IntRow] = []
-            for h in harmonic_polys_embedded(m, a):
-                for j in range(m):
-                    xs.append(to_int_row(poly_to_vec({(tuple(1 if i == j else 0 for i in range(m)) + mono[m:]): c
-                                                      for mono, c in h.items()}, eb.block)))
+            # x_j H_a, and Pi_L y_j H_{a-2}, j = 1..m
+            hx, zb = harmonic_space(m, a).int_rows, self.eigenblock(0, a).block
+            xs = [row for j in range(m) for row in reindex(hx, _times_var(zb, j), eb.block)]
             bad = sum(1 for v in xs if not ker.contains(v))
             rows.append(_row("x_harmonics_in_kernel", {"a": a, "vectors": len(xs)}, 0, bad))
 
             ys: List[IntRow] = []
             if a >= 2:
-                for h in harmonic_polys_embedded(m, a - 2):
-                    for j in range(m):
-                        yh = {(mono[:m] + tuple(1 if i == j else 0 for i in range(m)) + mono[2 * m:]): c
-                              for mono, c in h.items()}
-                        ys.append(to_int_row(poly_to_vec(apply_op(cat["Pi_L"], yh), eb.block)))
+                yb = self._y_block(a)
+                hy, zb = harmonic_space(m, a - 2).int_rows, self.eigenblock(0, a - 2).block
+                yh = [row for j in range(m) for row in reindex(hy, _times_var(zb, m + j), yb)]
+                ys = self._images("Pi_L", yh, yb, eb.block)
                 bad = sum(1 for v in ys if not ker.contains(v))
                 rows.append(_row("projected_y_harmonics_in_kernel", {"a": a, "vectors": len(ys)}, 0, bad))
 
-            parts = [self.span(xs, eb)] + ([self.span(ys, eb)] if ys else [])
+            parts = [Subspace.from_vectors(eb.block.dim, vecs) for vecs in (xs, ys) if vecs]
             ok = is_direct_sum(parts, ker)
             rows.append(_row("table_direct_sum", {"a": a, "x_rows": len(xs), "y_rows": len(ys),
                                                   "degenerate": a < 2}, True, ok))
@@ -406,22 +428,12 @@ class Verifier:
     def _r_tower_parts(self, k: int, t: int) -> List[Subspace]:
         eb = self.eigenblock(k, t)
         parts = []
-        j = 0
-        while True:
-            level = t - 2 * j
-            low = self.eigenblock(k, level)
-            if low.block.dim == 0:
-                break
-            ker = self.kernel_L(k, level)
-            vecs = []
-            for row in ker.int_rows:
-                p = vec_to_poly(row, low.block)
-                for _ in range(j):
-                    p = apply_op(self.cat["R"], p)
-                vecs.append(poly_to_vec(p, eb.block))
+        level = t
+        while self.eigenblock(k, level).block.dim:
+            vecs = self._raised("R", self.kernel_L(k, level).int_rows, k, level, t)
             if vecs:
-                parts.append(self.span(vecs, eb))
-            j += 1
+                parts.append(Subspace.from_vectors(eb.block.dim, vecs))
+            level -= 2
         return parts
 
     def l_fischer(self, a_max: int) -> List[CheckResult]:
@@ -461,11 +473,11 @@ class Verifier:
             if k0.block.dim:
                 # rank and span do not change under scaling, so the
                 # integer columns serve
-                up = matrix_of(cat["D_s_dag"], k0.block, eb.block).integer_form()[1]
+                up = operator_matrix(cat["D_s_dag"], k0.block, eb.block).integer_form()[1]
                 rank = rank_certified(up, eb.block.dim)
                 rows.append(_row("dirac_up_injective", {"a": a, "k0_dim": k0.block.dim},
                                  k0.block.dim, rank))
-                parts.append(self.span(up, eb))
+                parts.append(Subspace.from_vectors(eb.block.dim, up))
             ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
             rows.append(_row("symplectic_fischer_sum", {"a": a, "dim": eb.block.dim,
                                                         "kernel": ker.dim,
@@ -504,12 +516,12 @@ class Verifier:
             bad = sum(1 for v in vecs if not ker.contains(v))
             rows.append(_row(f"{label}_in_ker_Ds", {"a": a, "vectors": len(vecs)}, 0, bad))
 
-        parts = [self.span(fam[key], eb) for key in
+        parts = [Subspace.from_vectors(eb.block.dim, fam[key]) for key in
                  ("hook_x", "s_x", "hook_y", "c_y", "split_kernel") if fam[key]]
         ok = is_direct_sum(parts, lws)
         rows.append(_row("families_span_lowest_weight_space",
                          {"a": a, "lws": lws.dim, "parts": [s.dim for s in parts]}, True, ok))
-        image_span = self.span(fam["split_image"], eb)
+        image_span = Subspace.from_vectors(eb.block.dim, fam["split_image"])
         full_parts = parts + ([image_span] if fam["split_image"] else [])
         ok_full = is_direct_sum(full_parts, kerL)
         rows.append(_row("families_with_image_span_ker_L",
@@ -532,15 +544,20 @@ class Verifier:
                              [expect_ratio], list(fam["split_ratios"])))
 
         if a >= 1:
+            # D_s D_s_dag H = -m H, tested as (D M_down)(D' M_up) r = -m D D' r
+            k0 = self.eigenblock(0, t).block
+            up = operator_matrix(self.cat["D_s_dag"], k0, eb.block)
+            down = self.dirac_matrix(1, t)
+            den = up.integer_form()[0] * down.integer_form()[0]
             bad = 0
             wit = None
-            for h in harmonic_polys_embedded(m, a - 1):
-                res = poly_sub(apply_op(self.cat["D_s"], apply_op(self.cat["D_s_dag"], h)),
-                               poly_scale(h, -m))
+            for h in harmonic_space(m, a - 1).int_rows:
+                res = down.mul_int_vec(up.mul_int_vec(h))
+                add_scaled(res, h, m * den)
                 if res:
                     bad += 1
                     if wit is None:
-                        wit = render_poly(res)
+                        wit = render_poly(vec_to_poly({c: QQ(v, den) for c, v in res.items()}, k0))
             rows.append(_row("image_thread_bracket_eigenvalue", {"a": a, "eigen": -m}, 0, bad, wit))
             ok = is_direct_sum([lws, image_span], kerL)
             rows.append(_row("lws_plus_image_is_ker_L", {"a": a, "lws": lws.dim,
@@ -590,7 +607,7 @@ class Verifier:
             spans = []
             for line, aa, w in comps:
                 vecs = fam[by_offset[line.verma_offset]]
-                span = self.span(vecs, eb)
+                span = Subspace.from_vectors(eb.block.dim, vecs)
                 spans.append(span)
                 rows.append(_row("component_dim", {"t": t, "weight": str(w),
                                                    "verma": line.verma_at(m, aa).describe(m)},

@@ -34,9 +34,7 @@ from sympdirac.polys import (
     differentiate,
     monomial_basis,
     multiply_by,
-    poly_mul,
     poly_scale,
-    poly_sub,
     random_poly,
     render_poly,
     tri_degree_of,
@@ -53,6 +51,15 @@ M = 6
 @pytest.fixture(scope="module")
 def cat():
     return catalog(M)
+
+
+def poly_mul(p, q):
+    """Product of two polynomials, a reference for the operator tests."""
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            add_scaled(out, {tuple(a + b for a, b in zip(ma, mb)): ca * cb})
+    return out
 
 
 def same_on(a, b, blk):

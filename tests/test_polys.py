@@ -15,7 +15,7 @@ from sympdirac.polys import (
     monomial_sort_key,
     multiply_by,
     poly_add,
-    poly_sub,
+    poly_scale,
     random_poly,
     render_poly,
     tri_degree_components,
@@ -24,7 +24,7 @@ from sympdirac.polys import (
     y_,
     z_,
 )
-from sympdirac.linalg import ImageOutsideCodomain, poly_to_vec, vec_to_poly
+from sympdirac.linalg import ImageOutsideCodomain, reindex, vec_to_poly
 from sympdirac.rationals import QQ
 
 
@@ -96,7 +96,7 @@ def test_derivative_multiplication_commutator_is_identity(seed, block, idx):
     rng = random.Random(seed)
     p = random_poly(rng, m=4, max_degree=5, terms=6)
     v = VariableId(VarBlock(block), idx)
-    lhs = poly_sub(differentiate(multiply_by(p, v), v), multiply_by(differentiate(p, v), v))
+    lhs = poly_add(differentiate(multiply_by(p, v), v), poly_scale(multiply_by(differentiate(p, v), v), -1))
     assert lhs == p
 
 
@@ -145,16 +145,40 @@ def test_block_requires_stable_range():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("degs", [
+    [TriDegree(1, 0, 1), TriDegree(0, 1, 1), TriDegree(0, 0, 2), TriDegree(2, 0, 0)],  # equal totals
+    [TriDegree(1, 0, 3), TriDegree(0, 1, 1)],  # distinct totals, as in every eigenblock
+    [TriDegree(0, 2, 0), TriDegree(1, 0, 0), TriDegree(0, 1, 1), TriDegree(0, 0, 0)],  # both
+])
+def test_block_basis_is_sorted_union_of_its_tri_degrees(degs):
+    blk = Block(6, degs)
+    union = [mono for d in degs for mono in monomial_basis(6, d)]
+    assert blk.basis == sorted(union, key=monomial_sort_key)
+    assert [blk.index[mono] for mono in blk.basis] == list(range(blk.dim))
+
+
 def test_coefficient_roundtrip():
     blk = Block(6, [TriDegree(1, 0, 1)])
     rng = random.Random(3)
     vec = {i: QQ(rng.randint(-5, 5), rng.randint(1, 4)) for i in range(blk.dim)}
     vec = {i: c for i, c in vec.items() if c}
     p = vec_to_poly(vec, blk)
-    assert poly_to_vec(p, blk) == vec
-    outside = multiply_by(p, x_(1))
-    with pytest.raises(ImageOutsideCodomain):
-        poly_to_vec(outside, blk)
+    assert {blk.index[mono]: c for mono, c in p.items()} == vec
+    # the same coordinates, moved into a larger block by monomial
+    big = Block(6, [TriDegree(0, 1, 0), TriDegree(1, 0, 1)])
+    moved = reindex([vec], blk.basis, big)[0]
+    assert vec_to_poly(moved, big) == p
+
+
+def test_reindex_names_a_monomial_outside_the_target():
+    blk = Block(6, [TriDegree(1, 0, 1)])
+    times_x1 = [(mono[0] + 1,) + mono[1:] for mono in blk.basis]
+    target = Block(6, [TriDegree(2, 0, 1)])
+    rows = [{0: 2, 5: -1}]
+    assert reindex(rows, times_x1, target) == [{target.index[times_x1[0]]: 2, target.index[times_x1[5]]: -1}]
+    # the least escaping monomial is x1 times blk's first basis monomial x1*z1
+    with pytest.raises(ImageOutsideCodomain, match=r"x1\^2\*z1 outside block Block\(m=6, tri_degrees=\[\(1,0,1\)\]"):
+        reindex(rows, times_x1, blk)
 
 
 def test_tri_degrees_of_total():
@@ -175,4 +199,4 @@ def test_variable_helpers():
         x_(7).flat(6)
     p = {(1, 0, 0, 0, 0, 0, 0, 0, 0): QQ(1)}
     assert differentiate(p, y_(1)) == {}
-    assert poly_add(p, poly_sub({}, p)) == {}
+    assert poly_add(p, poly_scale(p, -1)) == {}

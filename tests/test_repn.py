@@ -8,7 +8,7 @@ from sympdirac.rationals import QQ
 from sympdirac import repn
 from sympdirac.linalg import vec_to_poly
 from sympdirac.operators import apply_op, catalog, op_scale
-from sympdirac.polys import monomial_m, poly_scale, x_, y_, z_
+from sympdirac.polys import Block, TriDegree, monomial_m, poly_scale, x_, y_, z_
 from sympdirac.repn import (
     BRANCHING_TABLE,
     HighestWeightSO,
@@ -20,8 +20,6 @@ from sympdirac.repn import (
     components_at_level,
     dim_weight,
     harmonic_dim,
-    harmonic_polys,
-    harmonic_polys_embedded,
     harmonic_space,
     simplicial_harmonics,
     verma_action_check,
@@ -59,7 +57,9 @@ def test_harmonic_space_below_stable_range():
 
 def test_harmonic_polys_are_harmonic():
     # sanity on one basis: apply the z-Laplacian by hand
-    for p in harmonic_polys(4, 3):
+    basis = zonly_basis(4, 3)
+    for row in harmonic_space(4, 3).rows:
+        p = {basis[i]: c for i, c in row.items()}
         out = {}
         for mono, c in p.items():
             for i, e in enumerate(mono):
@@ -224,12 +224,25 @@ def test_components_at_level():
 
 
 def test_embedded_harmonics_live_in_z(cat):
-    polys = harmonic_polys_embedded(6, 2)
+    # harmonic_space's coordinates are those of the z-only block
+    blk = Block(6, [TriDegree(0, 0, 2)])
+    polys = [vec_to_poly(row, blk) for row in harmonic_space(6, 2).rows]
     assert len(polys) == 20
     for p in polys:
         for mono in p:
             assert monomial_m(mono) == 6
             assert sum(mono[:12]) == 0
+        assert apply_op(cat["sl_h_Y"], p) == {}
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_zonly_basis_is_the_z_part_of_eigenblock_0_a(m):
+    from sympdirac.verify import Verifier
+
+    ver = Verifier(m, {})
+    for a in range(7):
+        assert [mono[2 * m:] for mono in ver.eigenblock(0, a).block.basis] == list(zonly_basis(m, a))
+        assert all(not any(mono[:2 * m]) for mono in ver.eigenblock(0, a).block.basis)
 
 
 def test_verma_label_describe_negative():

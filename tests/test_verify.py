@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sympdirac.linalg import subspace_intersect
+from sympdirac.linalg import subspace_intersect, vec_to_poly
 from sympdirac.operators import (
     EulerScalar,
     LinearOperator,
@@ -18,9 +18,9 @@ from sympdirac.operators import (
     op_scale,
     sp_labels,
 )
-from sympdirac.polys import Block, TriDegree, poly_scale, poly_sub
+from sympdirac.polys import Block, TriDegree, poly_scale
 from sympdirac.rationals import QQ
-from sympdirac.repn import harmonic_dim, harmonic_polys_embedded
+from sympdirac.repn import harmonic_dim, harmonic_space
 from sympdirac.verify import Verifier
 
 M = 6
@@ -115,9 +115,9 @@ def test_split_constant_extensionally(ver):
     # D_s C_xz H = alpha H with alpha = (-(2a+m-4)(m+a-1)+2(a-1))/(2a+m-4)
     a = 2
     alpha = QQ(-(2 * a + M - 4) * (M + a - 1) + 2 * (a - 1), 2 * a + M - 4)
-    h = harmonic_polys_embedded(M, a - 1)[0]
+    h = vec_to_poly(harmonic_space(M, a - 1).rows[0], ver.eigenblock(0, a - 1).block)
     got = apply_op(ver.cat["D_s"], apply_op(ver.cat["C_xz"], h))
-    assert poly_sub(got, poly_scale(h, alpha)) == {}
+    assert got == poly_scale(h, alpha)
 
 
 def test_rows_deterministic_across_instances():
@@ -184,9 +184,9 @@ def test_mutated_casimir_does_not_leak_cache():
 
 def test_operator_matrices_built_once_per_verifier(monkeypatch):
     # kernel_Ds, kernel_L and lowest_weight_space share the D_s and L
-    # matrices of a (k, t), and Verifiers over one catalog share the
-    # matrices kept on its operators; no (operator, domain, codomain) is
-    # built twice
+    # matrices of a (k, t), the R-towers and the families apply matrices
+    # too, and Verifiers over one catalog share the matrices kept on its
+    # operators; no (operator, domain, codomain) is built twice
     from sympdirac import linalg
 
     built = []
@@ -201,7 +201,8 @@ def test_operator_matrices_built_once_per_verifier(monkeypatch):
     ver = Verifier(M, cat)
     assert all(r.passed for r in ver.l_fischer(2) + ver.branching_table(1))
     assert built and len(set(built)) == len(built)
-    assert {op for op, _, _ in built} == {id(cat[name]) for name in ("D_s", "L", "Casimir")}
+    assert {op for op, _, _ in built} == {id(cat[name]) for name in (
+        "D_s", "L", "Casimir", "R", "S_xz", "C_xz", "S_yz", "Pi_L", "D_s_dag")}
     first = list(built)
     ver2 = Verifier(M, cat)
     assert all(r.passed for r in ver2.l_fischer(2) + ver2.branching_table(1))
@@ -274,3 +275,36 @@ def test_symbolic_certificates_build_no_commutator(monkeypatch):
     assert len(built) == 12 + 3 * sampled == 90
     sweeps = {"triples_extensional_deg_le_3", "sp_extensional_deg_le_2"}
     assert {r.name for r in rows if not r.passed} == sweeps
+
+
+def test_suites_apply_no_operator_to_a_polynomial(monkeypatch):
+    # every suite reaches its vectors through block matrices; apply_op is
+    # left only to render a witness of algebra_relations
+    from sympdirac import verify
+
+    def refuse(op, p):
+        raise AssertionError(f"apply_op({op.label}) called")
+
+    monkeypatch.setattr(verify, "apply_op", refuse)
+    ver = Verifier(M, catalog(M))
+    for suite, arg in (("classical_fischer", 2), ("table_ker", 3), ("l_fischer", 3),
+                       ("symplectic_fischer_k1", 3), ("kernel_families", 3), ("branching_table", 2),
+                       ("multiplicity", 2), ("dim_identity", 3), ("s0_branching", 3)):
+        _assert_all_pass(getattr(ver, suite)(arg))
+
+
+@pytest.mark.parametrize("name", ["Pi_L", "S_xz", "C_xz"])
+def test_mutated_family_operator_fails_with_a_witness(name):
+    # the family matrices live on the operators, so a mutant built after
+    # the clean matrices is certified on its own matrices, and the clean
+    # catalog still passes afterwards
+    clean = catalog(M)
+    _assert_all_pass(Verifier(M, clean).branching_table(2))
+    terms = clean[name].terms
+    s = terms[0].scalar
+    flipped = OperatorTerm(EulerScalar(-s.coeff, s.num, s.den), terms[0].actions)
+    cat = dict(clean)
+    cat[name] = LinearOperator(name, (flipped,) + terms[1:])
+    failed = [r for r in Verifier(M, cat).branching_table(2) if not r.passed]
+    assert any(r.witness for r in failed), name
+    _assert_all_pass(Verifier(M, clean).branching_table(2))
