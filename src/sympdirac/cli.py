@@ -3,6 +3,14 @@
 Runs the named check suites on exact rational arithmetic and renders the
 results as text or JSON.
 
+With --jobs N > 1 the report is computed by level on a process pool of at
+most N workers: one task per level-free suite and one per level, holding
+every requested unit at that level (verify.SUITES), submitted largest
+first. Each worker builds one Verifier when it starts and runs all its
+tasks on it, so a level's kernels and families are built once; the rows
+are reassembled in suite order, and the report equals the serial one
+apart from elapsed_s. A run with a single task stays serial.
+
 Exit codes:
   0  every executed check passed
   1  at least one check failed
@@ -50,35 +58,82 @@ def largest_block(m: int, a_max: int, t_max: int) -> int:
 BLOCK_MAX = largest_block(8, RANGE_MAX, RANGE_MAX)
 
 
-def run_suite(name: str, m: int, a_max: int, t_max: int,
-              ver: Optional[Verifier] = None) -> List[Dict[str, object]]:
-    """Execute one suite and return its check rows as dicts."""
-    if ver is None:
-        ver = Verifier(m)
-    rows = getattr(ver, name)(*SUITES[name](a_max, t_max))
+def run_suite(name: str, a_max: int, t_max: int, ver: Verifier) -> List[Dict[str, object]]:
+    """Execute one suite on ver and return its check rows as dicts."""
+    rows = getattr(ver, name)(*SUITES[name].args(a_max, t_max))
     return [r.as_dict() for r in rows]
 
 
-def _worker(task: Tuple[str, int, int, int]) -> Tuple[str, float, List[Dict[str, object]]]:
-    name, m, a_max, t_max = task
-    t0 = time.perf_counter()
-    checks = run_suite(name, m, a_max, t_max)
-    return name, time.perf_counter() - t0, checks
+# A unit as the pool schedules it: (suite, index among the suite's units,
+# Verifier method, args). A worker receives only each unit's (method, args).
+PoolUnit = Tuple[str, int, str, Tuple[int, ...]]
+Task = Tuple[Tuple[str, Tuple[int, ...]], ...]
+
+# The Verifier of a pool worker; _init_worker sets it when the worker starts.
+_VERIFIER: Optional[Verifier] = None
+
+
+def _init_worker(m: int) -> None:
+    global _VERIFIER
+    _VERIFIER = Verifier(m)
+
+
+def _worker(task: Task) -> List[Tuple[float, List[Dict[str, object]]]]:
+    """Run a task's units on the worker's Verifier: (seconds, rows) each."""
+    out = []
+    for method, args in task:
+        t0 = time.perf_counter()
+        rows = getattr(_VERIFIER, method)(*args)
+        out.append((time.perf_counter() - t0, [r.as_dict() for r in rows]))
+    return out
+
+
+def _schedule(suites: Sequence[str], a_max: int, t_max: int) -> List[List[PoolUnit]]:
+    """The pool's tasks, largest first: one per level-free suite, then one
+    per level from the top down, holding every unit at that level in
+    canonical suite order."""
+    level_free: List[List[PoolUnit]] = []
+    by_level: Dict[int, List[PoolUnit]] = {}
+    for name in suites:
+        for i, (level, method, args) in enumerate(SUITES[name].units_for(a_max, t_max)):
+            unit = (name, i, method, args)
+            if level is None:
+                level_free.append([unit])
+            else:
+                by_level.setdefault(level, []).append(unit)
+    return level_free + [by_level[t] for t in sorted(by_level, reverse=True)]
+
+
+def _run_pool(m: int, suites: Sequence[str], tasks: List[List[PoolUnit]],
+              jobs: int) -> List[Tuple[str, float, List[Dict[str, object]]]]:
+    """(suite, seconds, rows) of each suite, from tasks run on a pool of
+    at most jobs workers, each with one Verifier for all its tasks."""
+    parts: Dict[str, Dict[int, List[Dict[str, object]]]] = {name: {} for name in suites}
+    elapsed = dict.fromkeys(suites, 0.0)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_init_worker,
+                             initargs=(m,)) as pool:
+        results = pool.map(_worker, [tuple((method, args) for _, _, method, args in task)
+                                     for task in tasks])
+        for task, out in zip(tasks, results):
+            for (name, i, _, _), (dt, checks) in zip(task, out):
+                parts[name][i] = checks
+                elapsed[name] += dt
+    return [(name, elapsed[name], [c for i in sorted(parts[name]) for c in parts[name][i]])
+            for name in suites]
 
 
 def build_report(m: int, a_max: int, t_max: int, suites: Sequence[str],
                  jobs: int = 1) -> Dict[str, object]:
     suite_blocks: List[Dict[str, object]] = []
-    if jobs > 1 and len(suites) > 1:
-        tasks = [(name, m, a_max, t_max) for name in suites]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(suites))) as pool:
-            results = list(pool.map(_worker, tasks))
+    tasks = _schedule(suites, a_max, t_max) if jobs > 1 else []
+    if len(tasks) > 1:
+        results = _run_pool(m, suites, tasks, jobs)
     else:
         ver = Verifier(m)
         results = []
         for name in suites:
             t0 = time.perf_counter()
-            checks = run_suite(name, m, a_max, t_max, ver=ver)
+            checks = run_suite(name, a_max, t_max, ver)
             results.append((name, time.perf_counter() - t0, checks))
     n_pass = n_fail = 0
     for name, elapsed, checks in results:
@@ -208,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="write the report to this file instead of stdout")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for suite-level parallelism")
+                        help="worker processes; above 1, the report is computed level by "
+                             "level, one task per level or level-free suite (default 1)")
     return parser
 
 

@@ -218,6 +218,8 @@ class Subspace:
         for c in vec:
             if not 0 <= c < self.ambient:
                 raise AmbientMismatch(f"coordinate {c} outside ambient dimension {self.ambient}")
+        if self.dim == self.ambient:
+            return True
         iv = _clear(vec)[1]
         if self.annihilator is not None:
             return not self.annihilator.mul_int_vec(iv)

@@ -13,6 +13,16 @@ reaches a vector only as its block matrix kept on the operator
 change of coordinates (linalg.reindex). A polynomial is formed only for a
 witness.
 
+Suites that run over levels are split into units, one per level (SUITES):
+the units at level t certify statements about eigenblock (1, t) or (0, t)
+and read that level's kernels, lowest-weight space and families(t + 1);
+only the R-towers of l_fischer and the z-only blocks the families start
+from reach lower levels. A suite's rows are its units' rows in order, so
+a report can be computed one level at a time (cli.build_report with
+jobs > 1) and reassembled byte for byte. algebra_relations,
+classical_fischer, dim_identity and s0_branching are level-free, one
+unit each.
+
 Check rows carry their parameters and both sides of every comparison, so
 a report can be replayed; failures carry a witness in canonical
 polynomial syntax. Rows depend only on (m, ranges, operator catalog) and
@@ -24,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .rationals import QQ, qq_str
 from .polys import (
@@ -74,6 +84,11 @@ from .repn import (
     harmonic_space,
     simplicial_harmonics,
 )
+
+
+# A unit of a suite: (level, Verifier method, its arguments); level is
+# None for a level-free suite.
+Unit = Tuple[Optional[int], str, Tuple[int, ...]]
 
 
 def _short_poly(p, max_terms: int = 3) -> str:
@@ -170,6 +185,10 @@ class Verifier:
         if value is None:
             value = self._memo[key] = build()
         return value
+
+    def _run_units(self, units: Sequence[Unit]) -> List[CheckResult]:
+        """The rows of units, in order."""
+        return [row for _, method, args in units for row in getattr(self, method)(*args)]
 
     # -- eigenblocks and kernels
 
@@ -391,35 +410,37 @@ class Verifier:
     # suite: table_ker (kernel of L on k=1 blocks)
 
     def table_ker(self, a_max: int) -> List[CheckResult]:
+        return self._run_units(SUITES["table_ker"].units(a_max))
+
+    def table_ker_at(self, a: int) -> List[CheckResult]:
         m = self.m
         rows: List[CheckResult] = []
-        for a in range(a_max + 1):
-            t = a - 1
-            eb = self.eigenblock(1, t)
-            ker = self.kernel_L(1, t)
-            expected_dim = m * (harmonic_dim(m, a) + harmonic_dim(m, a - 2))
-            rows.append(_row("kernel_L_dim", {"a": a, "block_dim": eb.block.dim},
-                             expected_dim, ker.dim))
+        t = a - 1
+        eb = self.eigenblock(1, t)
+        ker = self.kernel_L(1, t)
+        expected_dim = m * (harmonic_dim(m, a) + harmonic_dim(m, a - 2))
+        rows.append(_row("kernel_L_dim", {"a": a, "block_dim": eb.block.dim},
+                         expected_dim, ker.dim))
 
-            # x_j H_a, and Pi_L y_j H_{a-2}, j = 1..m
-            hx, zb = harmonic_space(m, a).int_rows, self.eigenblock(0, a).block
-            xs = [row for j in range(m) for row in reindex(hx, _times_var(zb, j), eb.block)]
-            bad = sum(1 for v in xs if not ker.contains(v))
-            rows.append(_row("x_harmonics_in_kernel", {"a": a, "vectors": len(xs)}, 0, bad))
+        # x_j H_a, and Pi_L y_j H_{a-2}, j = 1..m
+        hx, zb = harmonic_space(m, a).int_rows, self.eigenblock(0, a).block
+        xs = [row for j in range(m) for row in reindex(hx, _times_var(zb, j), eb.block)]
+        bad = sum(1 for v in xs if not ker.contains(v))
+        rows.append(_row("x_harmonics_in_kernel", {"a": a, "vectors": len(xs)}, 0, bad))
 
-            ys: List[IntRow] = []
-            if a >= 2:
-                yb = self._y_block(a)
-                hy, zb = harmonic_space(m, a - 2).int_rows, self.eigenblock(0, a - 2).block
-                yh = [row for j in range(m) for row in reindex(hy, _times_var(zb, m + j), yb)]
-                ys = self._images("Pi_L", yh, yb, eb.block)
-                bad = sum(1 for v in ys if not ker.contains(v))
-                rows.append(_row("projected_y_harmonics_in_kernel", {"a": a, "vectors": len(ys)}, 0, bad))
+        ys: List[IntRow] = []
+        if a >= 2:
+            yb = self._y_block(a)
+            hy, zb = harmonic_space(m, a - 2).int_rows, self.eigenblock(0, a - 2).block
+            yh = [row for j in range(m) for row in reindex(hy, _times_var(zb, m + j), yb)]
+            ys = self._images("Pi_L", yh, yb, eb.block)
+            bad = sum(1 for v in ys if not ker.contains(v))
+            rows.append(_row("projected_y_harmonics_in_kernel", {"a": a, "vectors": len(ys)}, 0, bad))
 
-            parts = [Subspace.from_vectors(eb.block.dim, vecs) for vecs in (xs, ys) if vecs]
-            ok = is_direct_sum(parts, ker)
-            rows.append(_row("table_direct_sum", {"a": a, "x_rows": len(xs), "y_rows": len(ys),
-                                                  "degenerate": a < 2}, True, ok))
+        parts = [Subspace.from_vectors(eb.block.dim, vecs) for vecs in (xs, ys) if vecs]
+        ok = is_direct_sum(parts, ker)
+        rows.append(_row("table_direct_sum", {"a": a, "x_rows": len(xs), "y_rows": len(ys),
+                                              "degenerate": a < 2}, True, ok))
         return rows
 
     # ------------------------------------------------------------------
@@ -437,64 +458,66 @@ class Verifier:
         return parts
 
     def l_fischer(self, a_max: int) -> List[CheckResult]:
-        m = self.m
-        rows: List[CheckResult] = []
-        for k in (0, 1):
-            for idx in range(a_max + 1):
-                t = idx if k == 0 else idx - 1
-                eb = self.eigenblock(k, t)
-                parts = self._r_tower_parts(k, t)
-                ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
-                rows.append(_row("fischer_tower", {"k": k, "t": t, "dim": eb.block.dim,
-                                                   "parts": [s.dim for s in parts]}, True, ok))
-                if k == 1:
-                    ker = self.kernel_L(1, t).dim
-                    lws = self.lowest_weight_space(1, t).dim
-                    extra = harmonic_dim(m, t)
-                    rows.append(_row("lowest_weight_threads", {"k": 1, "t": t,
-                                                               "lws": lws, "harmonic_thread": extra},
-                                     ker, lws + extra))
+        return self._run_units(SUITES["l_fischer"].units(a_max))
+
+    def l_fischer_at(self, k: int, t: int) -> List[CheckResult]:
+        eb = self.eigenblock(k, t)
+        parts = self._r_tower_parts(k, t)
+        ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
+        rows = [_row("fischer_tower", {"k": k, "t": t, "dim": eb.block.dim,
+                                       "parts": [s.dim for s in parts]}, True, ok)]
+        if k == 1:
+            ker = self.kernel_L(1, t).dim
+            lws = self.lowest_weight_space(1, t).dim
+            extra = harmonic_dim(self.m, t)
+            rows.append(_row("lowest_weight_threads", {"k": 1, "t": t,
+                                                       "lws": lws, "harmonic_thread": extra},
+                             ker, lws + extra))
         return rows
 
     # ------------------------------------------------------------------
     # suite: symplectic_fischer_k1
 
     def symplectic_fischer_k1(self, a_max: int) -> List[CheckResult]:
-        m, cat = self.m, self.cat
+        return self._run_units(SUITES["symplectic_fischer_k1"].units(a_max))
+
+    def _ds_bracket(self) -> LinearOperator:
+        """[D_s, D_s_dag] + E + m, which vanishes on every polynomial;
+        built once, so that it is compiled once."""
+        cat = self.cat
+        return self._memoized(("ds_bracket",), lambda: op_add(
+            commutator(cat["D_s"], cat["D_s_dag"]),
+            op_add(cat["E"], op_scale(identity_op(), self.m))))
+
+    def symplectic_fischer_k1_at(self, a: int) -> List[CheckResult]:
         rows: List[CheckResult] = []
-        bracket = op_add(commutator(cat["D_s"], cat["D_s_dag"]),
-                         op_add(cat["E"], op_scale(identity_op(), m)))
-        for a in range(a_max + 1):
-            t = a - 1
-            eb = self.eigenblock(1, t)
-            ker = self.kernel_Ds(1, t)
-            k0 = self.eigenblock(0, t)
-            parts = [ker]
-            if k0.block.dim:
-                # rank and span do not change under scaling, so the
-                # integer columns serve
-                up = operator_matrix(cat["D_s_dag"], k0.block, eb.block).integer_form()[1]
-                rank = rank_certified(up, eb.block.dim)
-                rows.append(_row("dirac_up_injective", {"a": a, "k0_dim": k0.block.dim},
-                                 k0.block.dim, rank))
-                parts.append(Subspace.from_vectors(eb.block.dim, up))
-            ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
-            rows.append(_row("symplectic_fischer_sum", {"a": a, "dim": eb.block.dim,
-                                                        "kernel": ker.dim,
-                                                        "image": k0.block.dim}, True, ok))
-            bad, first = _nonzero_images(bracket, eb.block.basis)
-            wit = None if first is None else render_poly(monomial_poly(first))
-            rows.append(_row("bracket_on_block", {"a": a, "dim": eb.block.dim}, 0, bad, wit))
+        t = a - 1
+        eb = self.eigenblock(1, t)
+        ker = self.kernel_Ds(1, t)
+        k0 = self.eigenblock(0, t)
+        parts = [ker]
+        if k0.block.dim:
+            # rank and span do not change under scaling, so the
+            # integer columns serve
+            up = operator_matrix(self.cat["D_s_dag"], k0.block, eb.block).integer_form()[1]
+            rank = rank_certified(up, eb.block.dim)
+            rows.append(_row("dirac_up_injective", {"a": a, "k0_dim": k0.block.dim},
+                             k0.block.dim, rank))
+            parts.append(Subspace.from_vectors(eb.block.dim, up))
+        ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
+        rows.append(_row("symplectic_fischer_sum", {"a": a, "dim": eb.block.dim,
+                                                    "kernel": ker.dim,
+                                                    "image": k0.block.dim}, True, ok))
+        bad, first = _nonzero_images(self._ds_bracket(), eb.block.basis)
+        wit = None if first is None else render_poly(monomial_poly(first))
+        rows.append(_row("bracket_on_block", {"a": a, "dim": eb.block.dim}, 0, bad, wit))
         return rows
 
     # ------------------------------------------------------------------
     # suite: kernel_families
 
     def kernel_families(self, a_max: int) -> List[CheckResult]:
-        rows: List[CheckResult] = []
-        for a in range(a_max + 1):
-            rows.extend(self.kernel_families_at(a))
-        return rows
+        return self._run_units(SUITES["kernel_families"].units(a_max))
 
     def kernel_families_at(self, a: int) -> List[CheckResult]:
         m = self.m
@@ -579,72 +602,74 @@ class Verifier:
     # suite: branching_table
 
     def branching_table(self, t_max: int) -> List[CheckResult]:
+        return self._run_units(SUITES["branching_table"].units(t_max))
+
+    def branching_table_at(self, t: int) -> List[CheckResult]:
         m, cat = self.m, self.cat
         rows: List[CheckResult] = []
-        for t in range(-1, t_max + 1):
-            eb = self.eigenblock(1, t)
-            lws = self.lowest_weight_space(1, t)
-            comps = components_at_level(t)
-            five_row = sum(dim_weight(m, w) for _, _, w in comps)
-            mult = m * (harmonic_dim(m, t - 1) + harmonic_dim(m, t + 1)) - harmonic_dim(m, t)
-            rows.append(_row("lws_dim_vs_five_row_table",
-                             {"t": t, "weights": [str(w) for _, _, w in comps],
-                              "dropped_non_dominant": 5 - len(comps)}, five_row, lws.dim))
-            rows.append(_row("lws_dim_vs_multiplicity_formula", {"t": t}, mult, lws.dim))
-            rows.append(_row("predictions_cross_consistent", {"t": t}, five_row, mult))
+        eb = self.eigenblock(1, t)
+        lws = self.lowest_weight_space(1, t)
+        comps = components_at_level(t)
+        five_row = sum(dim_weight(m, w) for _, _, w in comps)
+        mult = m * (harmonic_dim(m, t - 1) + harmonic_dim(m, t + 1)) - harmonic_dim(m, t)
+        rows.append(_row("lws_dim_vs_five_row_table",
+                         {"t": t, "weights": [str(w) for _, _, w in comps],
+                          "dropped_non_dominant": 5 - len(comps)}, five_row, lws.dim))
+        rows.append(_row("lws_dim_vs_multiplicity_formula", {"t": t}, mult, lws.dim))
+        rows.append(_row("predictions_cross_consistent", {"t": t}, five_row, mult))
 
-            seen = {}
-            sep_ok = True
-            for _, _, w in comps:
-                key = (dim_weight(m, w), str(casimir_scalar(m, w)))
-                if key in seen:
-                    sep_ok = False
-                seen[key] = w
-            rows.append(_row("dim_and_casimir_separate_components", {"t": t}, True, sep_ok))
+        seen = {}
+        sep_ok = True
+        for _, _, w in comps:
+            key = (dim_weight(m, w), str(casimir_scalar(m, w)))
+            if key in seen:
+                sep_ok = False
+            seen[key] = w
+        rows.append(_row("dim_and_casimir_separate_components", {"t": t}, True, sep_ok))
 
-            fam = self.families(t + 1)
-            by_offset = {-2: "s_x", -1: "hook_x", 0: "split_kernel", 1: "hook_y", 2: "c_y"}
-            spans = []
-            for line, aa, w in comps:
-                vecs = fam[by_offset[line.verma_offset]]
-                span = Subspace.from_vectors(eb.block.dim, vecs)
-                spans.append(span)
-                rows.append(_row("component_dim", {"t": t, "weight": str(w),
-                                                   "verma": line.verma_at(m, aa).describe(m)},
-                                 dim_weight(m, w), span.dim))
-                bad = 0
-                wit = None
-                for i, row in enumerate(span.int_rows):
-                    if not lws.contains(row):
-                        bad += 1
-                        if wit is None:
-                            wit = _short_poly(vec_to_poly(span.rows[i], eb.block))
-                rows.append(_row("component_in_lws", {"t": t, "weight": str(w)}, 0, bad, wit))
-                chk = casimir_eigencheck(cat, eb.block, span, w)
-                rows.append(_row("component_casimir", {"t": t, "weight": str(w),
-                                                       "eigenvalue": qq_str(chk.expected)},
-                                 True, chk.ok,
-                                 None if chk.ok else render_poly(chk.offending)))
-            ok = is_direct_sum(spans, lws)
-            rows.append(_row("components_direct_sum", {"t": t, "lws": lws.dim,
-                                                       "parts": [s.dim for s in spans]}, True, ok))
+        fam = self.families(t + 1)
+        by_offset = {-2: "s_x", -1: "hook_x", 0: "split_kernel", 1: "hook_y", 2: "c_y"}
+        spans = []
+        for line, aa, w in comps:
+            vecs = fam[by_offset[line.verma_offset]]
+            span = Subspace.from_vectors(eb.block.dim, vecs)
+            spans.append(span)
+            rows.append(_row("component_dim", {"t": t, "weight": str(w),
+                                               "verma": line.verma_at(m, aa).describe(m)},
+                             dim_weight(m, w), span.dim))
+            bad = 0
+            wit = None
+            for i, row in enumerate(span.int_rows):
+                if not lws.contains(row):
+                    bad += 1
+                    if wit is None:
+                        wit = _short_poly(vec_to_poly(span.rows[i], eb.block))
+            rows.append(_row("component_in_lws", {"t": t, "weight": str(w)}, 0, bad, wit))
+            chk = casimir_eigencheck(cat, eb.block, span, w)
+            rows.append(_row("component_casimir", {"t": t, "weight": str(w),
+                                                   "eigenvalue": qq_str(chk.expected)},
+                             True, chk.ok,
+                             None if chk.ok else render_poly(chk.offending)))
+        ok = is_direct_sum(spans, lws)
+        rows.append(_row("components_direct_sum", {"t": t, "lws": lws.dim,
+                                                   "parts": [s.dim for s in spans]}, True, ok))
         return rows
 
     # ------------------------------------------------------------------
     # suite: multiplicity
 
     def multiplicity(self, t_max: int) -> List[CheckResult]:
+        return self._run_units(SUITES["multiplicity"].units(t_max))
+
+    def multiplicity_at(self, t: int) -> List[CheckResult]:
         m = self.m
-        rows: List[CheckResult] = []
-        for t in range(-1, t_max + 1):
-            ker = self.kernel_L(1, t)
-            lws = self.lowest_weight_space(1, t)
-            expect_ker = m * (harmonic_dim(m, t - 1) + harmonic_dim(m, t + 1))
-            rows.append(_row("kernel_L_multiplicity", {"t": t, "degenerate": t <= 0},
-                             expect_ker, ker.dim))
-            rows.append(_row("lws_is_kernel_minus_harmonics", {"t": t},
-                             expect_ker - harmonic_dim(m, t), lws.dim))
-        return rows
+        ker = self.kernel_L(1, t)
+        lws = self.lowest_weight_space(1, t)
+        expect_ker = m * (harmonic_dim(m, t - 1) + harmonic_dim(m, t + 1))
+        return [_row("kernel_L_multiplicity", {"t": t, "degenerate": t <= 0},
+                     expect_ker, ker.dim),
+                _row("lws_is_kernel_minus_harmonics", {"t": t},
+                     expect_ker - harmonic_dim(m, t), lws.dim)]
 
     # ------------------------------------------------------------------
     # suite: dim_identity
@@ -675,17 +700,48 @@ class Verifier:
         return rows
 
 
-# The suites in canonical report order, each with the range arguments it
-# takes as a function of the report's (a_max, t_max).
-SUITES: Dict[str, Callable[[int, int], Tuple[int, ...]]] = {
-    "algebra_relations": lambda a_max, t_max: (),
-    "classical_fischer": lambda a_max, t_max: (a_max,),
-    "table_ker": lambda a_max, t_max: (a_max,),
-    "l_fischer": lambda a_max, t_max: (a_max,),
-    "symplectic_fischer_k1": lambda a_max, t_max: (a_max,),
-    "kernel_families": lambda a_max, t_max: (a_max,),
-    "branching_table": lambda a_max, t_max: (t_max,),
-    "multiplicity": lambda a_max, t_max: (t_max,),
-    "dim_identity": lambda a_max, t_max: (a_max,),
-    "s0_branching": lambda a_max, t_max: (a_max + 2,),
+def _degree_units(method: str) -> Callable[[int], List[Unit]]:
+    """Units method(a), a = 0..a_max, at level a - 1: the k=1 eigenblock
+    at t = a - 1 holds degree a's families."""
+    return lambda a_max: [(a - 1, method, (a,)) for a in range(a_max + 1)]
+
+
+def _level_units(method: str) -> Callable[[int], List[Unit]]:
+    """Units method(t) at level t = -1..t_max."""
+    return lambda t_max: [(t, method, (t,)) for t in range(-1, t_max + 1)]
+
+
+def _whole(method: str) -> Callable[..., List[Unit]]:
+    """A level-free suite: one unit, the suite method itself."""
+    return lambda *args: [(None, method, args)]
+
+
+class Suite(NamedTuple):
+    """args gives the suite method's arguments from a report's (a_max,
+    t_max); units gives, from those arguments, the suite's units in row
+    order. The suite method returns the concatenation of its units'
+    rows."""
+
+    args: Callable[[int, int], Tuple[int, ...]]
+    units: Callable[..., List[Unit]]
+
+    def units_for(self, a_max: int, t_max: int) -> List[Unit]:
+        return self.units(*self.args(a_max, t_max))
+
+
+# The suites in canonical report order.
+SUITES: Dict[str, Suite] = {
+    "algebra_relations": Suite(lambda a_max, t_max: (), _whole("algebra_relations")),
+    "classical_fischer": Suite(lambda a_max, t_max: (a_max,), _whole("classical_fischer")),
+    "table_ker": Suite(lambda a_max, t_max: (a_max,), _degree_units("table_ker_at")),
+    # every k=0 row first, then every k=1 row; eigenblock (k, t) is at level t
+    "l_fischer": Suite(lambda a_max, t_max: (a_max,), lambda a_max: [
+        (t, "l_fischer_at", (k, t)) for k in (0, 1) for t in range(-k, a_max + 1 - k)]),
+    "symplectic_fischer_k1": Suite(lambda a_max, t_max: (a_max,),
+                                   _degree_units("symplectic_fischer_k1_at")),
+    "kernel_families": Suite(lambda a_max, t_max: (a_max,), _degree_units("kernel_families_at")),
+    "branching_table": Suite(lambda a_max, t_max: (t_max,), _level_units("branching_table_at")),
+    "multiplicity": Suite(lambda a_max, t_max: (t_max,), _level_units("multiplicity_at")),
+    "dim_identity": Suite(lambda a_max, t_max: (a_max,), _whole("dim_identity")),
+    "s0_branching": Suite(lambda a_max, t_max: (a_max + 2,), _whole("s0_branching")),
 }

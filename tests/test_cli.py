@@ -205,7 +205,7 @@ def test_suite_order_is_canonical():
     assert [s["name"] for s in rep["suites"]] == ["table_ker", "multiplicity"]
 
 
-def test_jobs_capped_at_suite_count(monkeypatch):
+def test_jobs_capped_at_task_count(monkeypatch):
     from sympdirac import cli
     from sympdirac.verify import SUITES
 
@@ -214,7 +214,7 @@ def test_jobs_capped_at_suite_count(monkeypatch):
     class RecordingPool:
         """Stands in for the process pool: records its size, runs nothing."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
 
         def __enter__(self):
@@ -224,13 +224,79 @@ def test_jobs_capped_at_suite_count(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return [(task[0], 0.0, []) for task in tasks]
+            return [[(0.0, [])] * len(task) for task in tasks]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # at a_max = t_max = 4: four level-free suites, and the levels -1..4
     cli.build_report(6, 4, 4, list(SUITES), jobs=5000)
     cli.build_report(6, 4, 4, list(SUITES), jobs=2)
-    cli.build_report(6, 4, 4, ["table_ker", "multiplicity"], jobs=3)
-    assert started == [len(SUITES), 2, 2]
+    cli.build_report(6, 4, 4, ["table_ker", "multiplicity"], jobs=7)
+    cli.build_report(6, 4, 4, ["branching_table"], jobs=2)
+    assert started == [10, 2, 6, 2]
+    # one task runs serially, without a pool
+    report = cli.build_report(6, 4, 4, ["dim_identity"], jobs=2)
+    assert started == [10, 2, 6, 2]
+    assert report["summary"] == {"pass": 3, "fail": 0}
+
+
+def test_pool_runs_levels_top_down_on_one_verifier_per_worker(monkeypatch):
+    from sympdirac import cli
+    from sympdirac.verify import SUITES
+
+    a_max = t_max = 2
+    suites = list(SUITES)
+    level_of = {(method, args): level for name in suites
+                for level, method, args in SUITES[name].units_for(a_max, t_max)}
+    mapped, worked, verifiers = [], [], []
+    worker = cli._worker
+
+    def recording_worker(task):
+        worked.append(task)
+        verifiers.append(cli._VERIFIER)
+        return worker(task)
+
+    class InProcessPool:
+        """Stands in for the process pool: one worker, in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            mapped.extend(tasks)
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(cli, "_VERIFIER", None)
+    monkeypatch.setattr(cli, "_worker", recording_worker)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    pooled = cli.build_report(6, a_max, t_max, suites, jobs=2)
+
+    assert worked == mapped
+    assert len(set(map(id, verifiers))) == 1
+    levels = [level_of[task[0]] for task in mapped]
+    free = [name for name in suites if SUITES[name].units_for(a_max, t_max)[0][0] is None]
+    assert levels[:len(free)] == [None] * len(free)
+    assert [task[0][0] for task in mapped[:len(free)]] == free
+    assert levels[len(free):] == list(range(max(a_max - 1, t_max), -2, -1))
+    for task, level in zip(mapped[len(free):], levels[len(free):]):
+        assert list(task) == [(method, args) for name in suites
+                              for lvl, method, args in SUITES[name].units_for(a_max, t_max)
+                              if lvl == level]
+    serial = cli.build_report(6, a_max, t_max, suites, jobs=1)
+    assert _strip_timing(cli.render_json(pooled)) == _strip_timing(cli.render_json(serial))
+
+
+def test_one_suite_runs_by_level_with_the_same_rows():
+    args = ("--suite", "branching_table", "--t-max", "2", "--format", "json")
+    serial = run_cli(*args, "--jobs", "1")
+    parallel = run_cli(*args, "--jobs", "2")
+    assert serial.returncode == parallel.returncode == 0
+    assert _strip_timing(serial.stdout) == _strip_timing(parallel.stdout)
 
 
 def test_benchmark_tracer_binds_every_name(tmp_path):
@@ -279,7 +345,10 @@ def test_reports_match_benchmark_digests(workload, a_max, suites):
     if expected is None:
         root = Path(__file__).resolve().parents[1]
         expected = json.loads((root / "perfbench" / "expected.json").read_text(encoding="utf-8"))[workload]
-    report = cli.build_report(expected.get("m", 6), a_max, a_max, list(suites or SUITES), jobs=1)
-    assert sum(len(s["checks"]) for s in report["suites"]) == expected["checks"]
-    assert report["summary"]["fail"] == 0
-    assert _report_digest(cli.render_json(report)) == expected["digest"]
+    # the default report also by level on a process pool
+    for jobs in ((1, 2, 3) if workload == "report_default" else (1,)):
+        report = cli.build_report(expected.get("m", 6), a_max, a_max, list(suites or SUITES),
+                                  jobs=jobs)
+        assert sum(len(s["checks"]) for s in report["suites"]) == expected["checks"]
+        assert report["summary"]["fail"] == 0
+        assert _report_digest(cli.render_json(report)) == expected["digest"]

@@ -101,6 +101,16 @@ def test_membership_and_ambient_guard():
         a == b
 
 
+def test_full_space_contains_every_vector_in_range():
+    for full in (Subspace.full(4), Subspace.from_vectors(4, [{i: QQ(i + 1)} for i in range(4)])):
+        assert full.contains({0: QQ(3), 3: QQ(-1, 2)})
+        assert full.contains({})
+        # the coordinate range is still checked
+        for c in (4, -1):
+            with pytest.raises(AmbientMismatch):
+                full.contains({c: QQ(1)})
+
+
 def test_rank_certificate_agrees_with_rational_rank():
     rng = random.Random(77)
     for _ in range(40):

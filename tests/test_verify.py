@@ -21,7 +21,7 @@ from sympdirac.operators import (
 from sympdirac.polys import Block, TriDegree, poly_scale
 from sympdirac.rationals import QQ
 from sympdirac.repn import harmonic_dim, harmonic_space
-from sympdirac.verify import Verifier
+from sympdirac.verify import SUITES, Verifier
 
 M = 6
 
@@ -275,6 +275,36 @@ def test_symbolic_certificates_build_no_commutator(monkeypatch):
     assert len(built) == 12 + 3 * sampled == 90
     sweeps = {"triples_extensional_deg_le_3", "sp_extensional_deg_le_2"}
     assert {r.name for r in rows if not r.passed} == sweeps
+
+
+def test_suite_methods_are_their_units_concatenated():
+    # the serial path runs suite methods, the process pool runs units;
+    # both must give the same rows in the same order
+    a_max = t_max = 2
+    by_suite, by_unit = Verifier(M), Verifier(M)
+    for name, suite in SUITES.items():
+        rows = getattr(by_suite, name)(*suite.args(a_max, t_max))
+        units = suite.units_for(a_max, t_max)
+        assert [r.as_dict() for r in rows] == [
+            r.as_dict() for _, method, args in units for r in getattr(by_unit, method)(*args)]
+        levels = [level for level, _, _ in units]
+        assert levels == [None] or None not in levels, name
+
+
+def test_dirac_bracket_is_built_once_per_verifier(monkeypatch):
+    from sympdirac import verify
+
+    built = []
+    orig = verify.commutator
+
+    def counting(a, b):
+        built.append((a.label, b.label))
+        return orig(a, b)
+
+    monkeypatch.setattr(verify, "commutator", counting)
+    ver = Verifier(M, catalog(M))
+    _assert_all_pass(ver.symplectic_fischer_k1(2) + ver.symplectic_fischer_k1_at(3))
+    assert built == [("D_s", "D_s_dag")]
 
 
 def test_suites_apply_no_operator_to_a_polynomial(monkeypatch):
