@@ -5,16 +5,16 @@ integer-first: a matrix holds sparse integer columns and one denominator
 D, a common denominator of its entries, and forms its rational columns
 only when they are read. matrix_of builds that form straight from
 the operators' integer images (operator_matrix keeps it on the operator),
-and nullspaces, stacks, nullspace membership and the Casimir certificate
-in repn read it as it is.
+and nullspaces, nullspace membership and the Casimir certificate in repn
+read it as it is.
 
 Vectors are integer rows in one block's coordinates. An operator reaches
 one only as its kept block matrix times a row (`mul_int_vec`); `reindex`
 moves a row to another block by the monomial each coordinate stands for.
 
-Elimination runs on denominator-cleared integer rows in two phases, both
-through one fraction-free step (`_combine`: cross-multiply by the two
-leading entries, then strip the gcd, so coefficients stay small):
+Elimination runs on integer rows in two phases, both through one
+fraction-free step (`_combine`: cross-multiply by the two leading
+entries, then strip the gcd, so coefficients stay small):
 
 - forward (`_echelon`): bucket the rows by leading column, then walk the
   columns in order and eliminate each below its shortest row, giving one
@@ -35,10 +35,15 @@ the column order reversed, which makes every pivot column larger than the
 free columns of its row; the basis read off the reduced rows is then
 already the canonical basis with respect to the original order.
 
-Spans, ranks and membership tests take vectors with int or rational
-entries and ignore their scale. Integer vectors are used as they are; a
-rational one has its denominators cleared first. Every rank is the exact
+Spans, ranks, direct sums and membership tests take integer rows only,
+with no zero entries, and ignore their scale. Every rank is the exact
 rank of integer elimination.
+
+A nullspace of several matrices (`M.nullspace(*below)`) eliminates all
+their transposed rows, each made primitive, so the operands are never
+stacked or brought to one denominator. It keeps the operands as its
+annihilator: a vector lies in it iff every operand sends it to zero, a
+test on the matrices that does not read the computed basis.
 """
 
 from __future__ import annotations
@@ -65,15 +70,6 @@ class ImageOutsideCodomain(Exception):
 
 # ---------------------------------------------------------------------------
 # integer row utilities
-
-def _clear(row: Row) -> Tuple[int, IntRow]:
-    """(D, D * row as integers), D the lcm of the entries' denominators;
-    zero entries are dropped. A row of nonzero ints is returned as it is."""
-    if all(type(c) is int and c for c in row.values()):
-        return 1, row
-    den = lcm(1, *{c.denominator for c in row.values()})
-    return den, {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
-
 
 def _primitive(row: IntRow) -> IntRow:
     """row over the gcd of its entries, signed so that the entry in its
@@ -157,13 +153,13 @@ class Subspace:
     subspace. rows gives the RREF basis (pivot entries 1), formed on first
     read.
 
-    A subspace produced as a nullspace remembers the matrix it annihilates;
-    membership tests then reduce to an exact sparse matrix-vector product
-    on the matrix's integer form.
+    A subspace produced as a nullspace remembers the matrices it is the
+    common kernel of; membership tests then reduce to exact sparse
+    matrix-vector products on those matrices' integer forms.
     """
 
     def __init__(self, ambient: int, pivots: List[int], int_rows: List[IntRow],
-                 annihilator: Optional["RationalMatrix"] = None):
+                 annihilator: Optional[Tuple["RationalMatrix", ...]] = None):
         self.ambient = ambient
         self.pivots = pivots
         self.int_rows = int_rows
@@ -172,8 +168,8 @@ class Subspace:
         self._rows: Optional[List[Row]] = None
 
     @classmethod
-    def from_vectors(cls, ambient: int, vectors: Iterable[Row]) -> "Subspace":
-        int_rows = [_clear(v)[1] for v in vectors]
+    def from_vectors(cls, ambient: int, vectors: Iterable[IntRow]) -> "Subspace":
+        int_rows = list(vectors)
         for row in int_rows:
             for c in row:
                 if not 0 <= c < ambient:
@@ -214,16 +210,15 @@ class Subspace:
                 add_scaled(w, row, -(f // g))
         return w
 
-    def contains(self, vec: Row) -> bool:
+    def contains(self, vec: IntRow) -> bool:
         for c in vec:
             if not 0 <= c < self.ambient:
                 raise AmbientMismatch(f"coordinate {c} outside ambient dimension {self.ambient}")
         if self.dim == self.ambient:
             return True
-        iv = _clear(vec)[1]
         if self.annihilator is not None:
-            return not self.annihilator.mul_int_vec(iv)
-        return not self._residual(iv)
+            return not any(mat.mul_int_vec(vec) for mat in self.annihilator)
+        return not self._residual(vec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -232,66 +227,33 @@ class Subspace:
             raise AmbientMismatch(f"ambient {self.ambient} vs {other.ambient}")
         return self.pivots == other.pivots and self.int_rows == other.int_rows
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.ambient, tuple(self.pivots)))
-
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient matrix: a
-    vector sum alpha_i a_i with sum alpha_i a_i - sum beta_j b_j = 0."""
-    if a.ambient != b.ambient:
-        raise AmbientMismatch(f"ambient {a.ambient} vs {b.ambient}")
-    cols = a.int_rows + [{c: -v for c, v in row.items()} for row in b.int_rows]
-    combos = RationalMatrix.from_integer_form(a.ambient, len(cols), 1, cols).nullspace()
-    vectors: List[IntRow] = []
-    for combo in combos.int_rows:
-        vec: IntRow = {}
-        for i, f in combo.items():
-            if i < a.dim:
-                add_scaled(vec, a.int_rows[i], f)
-        vectors.append(vec)
-    return Subspace.from_vectors(a.ambient, vectors)
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 class RationalMatrix:
-    """Sparse matrix over Q, held in integer form: D and the columns of
-    D * M as integer vectors, D a common denominator of the entries. The
-    rational columns are formed on first read."""
+    """Sparse nrows x ncols matrix over Q with columns int_columns[j] / den:
+    it is held in integer form, den a common denominator of the entries and
+    the columns of den * M as integer vectors with no zero entries."""
 
-    def __init__(self, nrows: int, ncols: int, columns: List[Row]):
-        den = lcm(1, *{v.denominator for col in columns for v in col.values()})
+    def __init__(self, nrows: int, ncols: int, den: int, int_columns: List[IntRow]):
         self.nrows = nrows
         self.ncols = ncols
-        self._integer_form = (den, [{r: v.numerator * (den // v.denominator)
-                                     for r, v in col.items()} for col in columns])
-        self._columns: Optional[List[Row]] = columns
-
-    @classmethod
-    def from_integer_form(cls, nrows: int, ncols: int, den: int, columns: List[IntRow]) -> "RationalMatrix":
-        """The matrix with columns columns[j] / den, den a common
-        denominator of those entries."""
-        mat = cls.__new__(cls)
-        mat.nrows = nrows
-        mat.ncols = ncols
-        mat._integer_form = (den, columns)
-        mat._columns = None
-        return mat
+        self._integer_form = (den, int_columns)
+        self._columns: Optional[List[Row]] = None
 
     @property
     def columns(self) -> List[Row]:
+        """The rational columns, formed on first read. No report reads
+        them; the benchmark's tracer (perfbench/tracer.py, _matrix_nnz)
+        counts a matrix's nonzeros through them, and tests compare them."""
         if self._columns is None:
             den, cols = self._integer_form
             self._columns = [{r: QQ(v, den) for r, v in col.items()} for col in cols]
         return self._columns
-
-    def rows_as_dicts(self) -> List[Row]:
-        return _transpose(self.columns, self.nrows)
 
     def integer_form(self) -> Tuple[int, List[IntRow]]:
         """(D, the columns of D * M as integers), D a common denominator
@@ -306,12 +268,25 @@ class RationalMatrix:
             add_scaled(out, cols[c], f * v)
         return out
 
-    def nullspace(self) -> Subspace:
-        """Canonical basis of {v : M v = 0}, see module docstring: the
-        basis vector of free column f is 1 at f and -row[f] / row[p] at
-        the pivot p of each reduced row, here scaled by the lcm of those
-        denominators, which makes it primitive with a positive entry at f."""
-        int_rows = [_primitive(r) for r in _transpose(self._integer_form[1], self.nrows) if r]
+    def nullspace(self, *below: "RationalMatrix") -> Subspace:
+        """Canonical basis of the vectors that self and every matrix in
+        below send to 0, see module docstring; the operands must share the
+        column count, else AmbientMismatch. The rows eliminated are every
+        operand's transposed integer rows, each made primitive. The basis
+        vector of free column f is 1 at f and -row[f] / row[p] at the pivot
+        p of each reduced row, here scaled by the lcm of those denominators,
+        which makes it primitive with a positive entry at f. The subspace
+        keeps the operands as its annihilator."""
+        mats = (self,) + below
+        int_rows: List[IntRow] = []
+        for mat in mats:
+            if mat.ncols != self.ncols:
+                raise AmbientMismatch(f"column counts {self.ncols} vs {mat.ncols}")
+            rows: List[IntRow] = [{} for _ in range(mat.nrows)]
+            for c, col in enumerate(mat._integer_form[1]):
+                for r, v in col.items():
+                    rows[r][c] = v
+            int_rows += [_primitive(r) for r in rows if r]
         pivots = _reduce_back(_echelon(int_rows, self.ncols, reverse=True))
         pivot_cols = {col for col, _ in pivots}
         free_cols = [c for c in range(self.ncols) if c not in pivot_cols]
@@ -330,43 +305,11 @@ class RationalMatrix:
             for col, n, d in entries[f]:
                 vec[col] = n * (den // d)
             basis.append(vec)
-        return Subspace(self.ncols, free_cols, basis, annihilator=self)
+        return Subspace(self.ncols, free_cols, basis, annihilator=mats)
 
     def __repr__(self) -> str:
         nnz = sum(len(c) for c in self._integer_form[1])
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={nnz})"
-
-
-def _transpose(columns: List[Dict], nrows: int) -> List[Dict]:
-    rows: List[Dict] = [{} for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][c] = v
-    return rows
-
-
-def stack_matrices(mats: Sequence[RationalMatrix]) -> RationalMatrix:
-    """Vertical concatenation; all operands must share the column count.
-    Each operand's integer columns are scaled to the lcm of the operands'
-    denominators."""
-    if not mats:
-        raise ValueError("nothing to stack")
-    ncols = mats[0].ncols
-    for mat in mats[1:]:
-        if mat.ncols != ncols:
-            raise AmbientMismatch(f"column counts {ncols} vs {mat.ncols}")
-    den = lcm(*(mat.integer_form()[0] for mat in mats))
-    columns: List[IntRow] = [{} for _ in range(ncols)]
-    offset = 0
-    for mat in mats:
-        d, cols = mat.integer_form()
-        f = den // d
-        for j, col in enumerate(cols):
-            dst = columns[j]
-            for r, v in col.items():
-                dst[offset + r] = v * f
-        offset += mat.nrows
-    return RationalMatrix.from_integer_form(offset, ncols, den, columns)
 
 
 def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
@@ -395,7 +338,7 @@ def matrix_of(op, domain: Block, codomain: Block) -> RationalMatrix:
     den = lcm(1, *set(dens))
     columns = [col if d == den else {r: v * (den // d) for r, v in col.items()}
                for col, d in zip(columns, dens)]
-    return RationalMatrix.from_integer_form(codomain.dim, domain.dim, den, columns)
+    return RationalMatrix(codomain.dim, domain.dim, den, columns)
 
 
 def operator_matrix(op, domain: Block, codomain: Block) -> RationalMatrix:
@@ -412,9 +355,9 @@ def operator_matrix(op, domain: Block, codomain: Block) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 # ranks and direct sums
 
-def rank_certified(vectors: List[Row], ambient: int) -> int:
-    """Exact rank of a list of sparse vectors, by integer elimination."""
-    return len(_echelon([_clear(v)[1] for v in vectors if v], ambient))
+def rank_certified(vectors: List[IntRow], ambient: int) -> int:
+    """Exact rank of a list of integer rows, by integer elimination."""
+    return len(_echelon([v for v in vectors if v], ambient))
 
 
 def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:

@@ -77,7 +77,6 @@ from .polys import (
     add_scaled,
     monomial_m,
     poly_add_term,
-    var_at,
     x_,
     y_,
     z_,
@@ -726,7 +725,7 @@ def nf_bracket(a: NormalForm, b: NormalForm) -> NormalForm:
     return nf_sum((1, nf_product(a, b)), (-1, nf_product(b, a)))
 
 
-def _cleared(table: Dict) -> NormalForm:
+def _integer_table(table: Dict) -> NormalForm:
     """A table with rational values as (D, integer table)."""
     den = lcm(1, *(QQ(v).denominator for v in table.values()))
     return den, {key: int(v * den) for key, v in table.items() if v}
@@ -745,12 +744,12 @@ def normal_form(op: LinearOperator, m: int) -> NormalForm:
         s = term.scalar
         if s.den:
             raise ValueError(f"{op.label}: Euler denominators have no polynomial normal form")
-        part = _cleared({((), ()): s.coeff})
+        part = _integer_table({((), ()): s.coeff})
         for a, b, c, d in s.num:
             # a Ex + b Ey + c Ez + d = sum_i (a x_i d_{x_i} + ...) + d
             form = {((i,), (i,)): f for slot, f in enumerate((a, b, c)) for i in range(slot * m, slot * m + m)}
             form[(), ()] = d
-            part = nf_product(part, _cleared(form))
+            part = nf_product(part, _integer_table(form))
         for act in term.actions:
             i = act.var.flat(m)
             word = ((i,), ()) if act.kind is ActionKind.DeriveVar else ((), (i,))
@@ -758,13 +757,3 @@ def normal_form(op: LinearOperator, m: int) -> NormalForm:
         parts.append((1, part))
     nf = op.normal_forms[m] = nf_sum(*parts)
     return nf
-
-
-def normal_form_op(nf: NormalForm, m: int, label: str = "nf") -> LinearOperator:
-    """Rebuild an operator from a normal form at m (for spot checks)."""
-    den, table = nf
-    terms = []
-    for (ders, muls), v in sorted(table.items()):
-        actions = tuple([der_(var_at(i, m)) for i in ders] + [mul_(var_at(i, m)) for i in muls])
-        terms.append(OperatorTerm(EulerScalar(QQ(v, den)), actions))
-    return LinearOperator(label, terms)

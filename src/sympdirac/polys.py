@@ -91,11 +91,6 @@ def monomial_m(mono: Monomial) -> int:
     return len(mono) // 3
 
 
-def tri_degree_of(mono: Monomial) -> TriDegree:
-    m = monomial_m(mono)
-    return TriDegree(sum(mono[:m]), sum(mono[m : 2 * m]), sum(mono[2 * m :]))
-
-
 def monomial_sort_key(mono: Monomial):
     """Key realizing the canonical order (see module docstring)."""
     return (sum(mono), tuple(-e for e in mono))
@@ -170,9 +165,6 @@ class Block:
     def dim(self) -> int:
         return len(self.basis)
 
-    def __contains__(self, mono: Monomial) -> bool:
-        return mono in self.index
-
     def __repr__(self) -> str:
         degs = ",".join(str(d) for d in self.tri_degrees)
         return f"Block(m={self.m}, tri_degrees=[{degs}], dim={self.dim})"
@@ -211,53 +203,6 @@ def add_scaled(dst: Dict, src: Dict, f=1) -> None:
             dst[key] = w
         elif key in dst:
             del dst[key]
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    add_scaled(out, q)
-    return out
-
-
-def poly_scale(p: Poly, coeff) -> Poly:
-    c = QQ(coeff)
-    if not c:
-        return {}
-    return {mono: v * c for mono, v in p.items()}
-
-
-def differentiate(p: Poly, v: VariableId) -> Poly:
-    """Partial derivative with respect to one variable."""
-    out: Poly = {}
-    for mono, c in p.items():
-        i = v.flat(monomial_m(mono))
-        e = mono[i]
-        if e == 0:
-            continue
-        lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-        poly_add_term(out, lowered, c * e)
-    return out
-
-
-def multiply_by(p: Poly, v: VariableId) -> Poly:
-    """Multiplication by one variable."""
-    out: Poly = {}
-    for mono, c in p.items():
-        i = v.flat(monomial_m(mono))
-        raised = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-        out[raised] = c
-    return out
-
-
-def tri_degree_components(p: Poly) -> Dict[TriDegree, Poly]:
-    """Split a polynomial into its tri-homogeneous components.
-
-    Summing the components back gives the original polynomial exactly.
-    """
-    out: Dict[TriDegree, Poly] = {}
-    for mono, c in p.items():
-        out.setdefault(tri_degree_of(mono), {})[mono] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +247,3 @@ def render_poly(p: Poly) -> str:
         else:
             pieces.append(f"- {text}" if neg else f"+ {text}")
     return " ".join(pieces)
-
-
-def random_poly(rng, m: int, max_degree: int, terms: int) -> Poly:
-    """Random sparse polynomial for property tests (not part of the
-    verification path)."""
-    out: Poly = {}
-    for _ in range(terms):
-        mono = [0] * (3 * m)
-        for _ in range(rng.randint(0, max_degree)):
-            mono[rng.randrange(3 * m)] += 1
-        c = QQ(rng.randint(-9, 9))
-        if rng.random() < 0.5:
-            c = c / rng.randint(1, 9)
-        poly_add_term(out, tuple(mono), c)
-    return out

@@ -10,9 +10,7 @@ roots of so(m), which covers everything and cross-checks the other two.
 Spherical harmonics exist only as harmonic_space's integer rows, in the
 coordinates of the z-only block of their degree, and are used as they are.
 
-Verma modules enter only through their lowest weight; the sl(2) raising
-and lowering bookkeeping is checked against measured structure constants
-on explicit polynomial realizations.
+Verma modules enter only through their lowest weight (VermaLabel).
 """
 
 from __future__ import annotations
@@ -23,32 +21,24 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .rationals import QQ, qq_str
+from .rationals import QQ
 from .polys import (
     Block,
     Poly,
     TriDegree,
     add_scaled,
     monomial_sort_key,
-    poly_scale,
-    render_poly,
-    tri_degree_of,
     x_,
     y_,
     z_,
     _compositions,
 )
-from .linalg import RationalMatrix, Subspace, matrix_of, operator_matrix, stack_matrices, vec_to_poly
-from .operators import LinearOperator, apply_op, inner_der_der, inner_mul_der
+from .linalg import RationalMatrix, Subspace, matrix_of, operator_matrix, vec_to_poly
+from .operators import LinearOperator, inner_der_der, inner_mul_der
 
 
 class NonDominantWeight(Exception):
     """Weight outside the dominant cone lambda1 >= lambda2 >= 0."""
-
-
-class NotLowestWeight(Exception):
-    """Vector not annihilated by the lowering operator, or not an
-    eigenvector of the grading element."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +204,7 @@ def harmonic_space(m: int, a: int) -> Subspace:
                 tgt = mono[:i] + (e - 2,) + mono[i + 1:]
                 col[codo_index[tgt]] = e * (e - 1)
         columns.append(col)
-    return RationalMatrix.from_integer_form(len(codo), len(basis), 1, columns).nullspace()
+    return RationalMatrix(len(codo), len(basis), 1, columns).nullspace()
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +254,7 @@ def simplicial_harmonics(m: int, k: int, l: int, first: str = "z", second: str =
     if not constraints:
         return domain, Subspace.full(domain.dim)
     mats = [matrix_of(op, domain, Block(m, [TriDegree(*sh)])) for op, sh in constraints]
-    return domain, stack_matrices(mats).nullspace()
+    return domain, mats[0].nullspace(*mats[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -304,60 +294,3 @@ def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspa
         if residual:
             return CasimirCheck(False, expected, vec_to_poly(sub.rows[i], block))
     return CasimirCheck(True, expected)
-
-
-# ---------------------------------------------------------------------------
-# Verma module bookkeeping for the (R, L) pair
-
-@dataclass
-class VermaCheckResult:
-    label: VermaLabel
-    rows: List[Dict[str, object]]
-    ok: bool
-
-
-def verma_action_check(cat: Dict[str, LinearOperator], v: Poly, n_max: int) -> VermaCheckResult:
-    """Check the raising tower over a lowest weight vector v.
-
-    v must satisfy L v = 0 and script-E v = lambda v; then for each
-    n <= n_max the measured relations are
-        script-E (R^n v) = (lambda + 2n) R^n v
-        L (R^n v)        = -n (lambda + n - 1) R^{n-1} v.
-    """
-    if not v:
-        raise NotLowestWeight("zero vector")
-    if apply_op(cat["L"], v):
-        raise NotLowestWeight(f"L does not annihilate {render_poly(v)}")
-    es = cat["E_script"]
-    eigs = set()
-    some = next(iter(v))
-    mval = len(some) // 3
-    for mono in v:
-        d = tri_degree_of(mono)
-        eigs.add(QQ(d.ky - d.kx + d.kz) + QQ(mval, 2))
-    if len(eigs) != 1:
-        raise NotLowestWeight(f"{render_poly(v)} mixes script-E eigenvalues {sorted(map(str, eigs))}")
-    lam = eigs.pop()
-    if apply_op(es, v) != poly_scale(v, lam):
-        raise NotLowestWeight(f"script-E is not scalar on {render_poly(v)}")
-
-    rows: List[Dict[str, object]] = []
-    ok = True
-    prev = v
-    cur = v
-    for n in range(1, n_max + 1):
-        prev = cur
-        cur = apply_op(cat["R"], cur)
-        e_const = lam + 2 * n
-        l_const = -QQ(n) * (lam + n - 1)
-        ok_e = apply_op(es, cur) == poly_scale(cur, e_const)
-        ok_l = apply_op(cat["L"], cur) == poly_scale(prev, l_const)
-        rows.append({
-            "n": n,
-            "scriptE_constant": qq_str(e_const),
-            "L_constant": qq_str(l_const),
-            "scriptE_ok": ok_e,
-            "L_ok": ok_l,
-        })
-        ok = ok and ok_e and ok_l
-    return VermaCheckResult(VermaLabel(lam), rows, ok)

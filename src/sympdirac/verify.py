@@ -43,6 +43,7 @@ from .polys import (
     TriDegree,
     add_scaled,
     monomial_poly,
+    monomial_sort_key,
     render_poly,
     tri_degrees_of_total,
     var_at,
@@ -55,7 +56,6 @@ from .linalg import (
     operator_matrix,
     rank_certified,
     reindex,
-    stack_matrices,
     vec_to_poly,
 )
 from .operators import (
@@ -92,12 +92,12 @@ Unit = Tuple[Optional[int], str, Tuple[int, ...]]
 
 
 def _short_poly(p, max_terms: int = 3) -> str:
-    """Abbreviated rendering for witness strings."""
-    full = render_poly(p)
-    parts = full.split(" + ")
-    if len(parts) <= max_terms:
-        return full
-    return " + ".join(parts[:max_terms]) + f" + ... ({len(parts)} terms)"
+    """Abbreviated rendering for witness strings: the first max_terms
+    monomials in canonical order, then the number of terms."""
+    if len(p) <= max_terms:
+        return render_poly(p)
+    head = sorted(p, key=monomial_sort_key)[:max_terms]
+    return render_poly({mono: p[mono] for mono in head}) + f" + ... ({len(p)} terms)"
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,8 @@ class Verifier:
         return self._memoized(("kernel_L", k, t), lambda: self.lowering_matrix(k, t).nullspace())
 
     def lowest_weight_space(self, k: int, t: int) -> Subspace:
-        return self._memoized(("lowest_weight_space", k, t), lambda: stack_matrices(
-            [self.dirac_matrix(k, t), self.lowering_matrix(k, t)]).nullspace())
+        return self._memoized(("lowest_weight_space", k, t), lambda: self.dirac_matrix(k, t).nullspace(
+            self.lowering_matrix(k, t)))
 
     # -- operators on integer rows: spans and membership do not change when
     # a vector is scaled, so an image keeps its matrix's denominator
@@ -289,13 +289,13 @@ class Verifier:
                 if v2:
                     v1 = cx.mul_int_vec(h, d2)
                     cols = [ds.mul_int_vec(v1), ds.mul_int_vec(v2)]
-                    null = RationalMatrix.from_integer_form(k0.dim, 2, 1, cols).nullspace()
+                    null = RationalMatrix(k0.dim, 2, 1, cols).nullspace()
                     if null.dim == 1:
                         combo = null.rows[0]
                         ratios.add((qq_str(combo.get(0, QQ(0))), qq_str(combo.get(1, QQ(0)))))
-                        n = null.int_rows[0]
-                        merged = {c: n.get(0, 0) * v for c, v in v1.items()}
-                        add_scaled(merged, v2, n.get(1, 0))
+                        n0, n1 = null.int_rows[0].get(0, 0), null.int_rows[0].get(1, 0)
+                        merged = {c: n0 * v for c, v in v1.items()} if n0 else {}
+                        add_scaled(merged, v2, n1)
                         kernel_combos.append(merged)
                     else:
                         ratios.add(("degenerate", str(null.dim)))
@@ -560,8 +560,8 @@ class Verifier:
         if a >= 2:
             # D_s C_xz H and D_s Pi_L S_yz H are these multiples of H
             alpha = QQ(-(2 * a + m - 4) * (m + a - 1) + 2 * (a - 1), 2 * a + m - 4)
-            beta = QQ(a - 1)
-            null = RationalMatrix(1, 2, [{0: alpha}, {0: beta}]).nullspace()
+            den = alpha.denominator
+            null = RationalMatrix(1, 2, den, [{0: alpha.numerator}, {0: (a - 1) * den}]).nullspace()
             expect_ratio = (qq_str(null.rows[0].get(0, QQ(0))), qq_str(null.rows[0].get(1, QQ(0))))
             rows.append(_row("split_ratio_matches_measured_constants", {"a": a},
                              [expect_ratio], list(fam["split_ratios"])))

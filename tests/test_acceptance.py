@@ -27,8 +27,6 @@ from sympdirac.polys import (
     add_scaled,
     monomial_basis,
     monomial_poly,
-    multiply_by,
-    poly_scale,
     render_poly,
     tri_degrees_of_total,
     x_,
@@ -37,12 +35,11 @@ from sympdirac.polys import (
 )
 from sympdirac.rationals import QQ
 from sympdirac.linalg import Subspace, vec_to_poly
-from sympdirac.repn import (
-    harmonic_dim,
-    harmonic_space,
-    verma_action_check,
-)
+from sympdirac.repn import harmonic_dim, harmonic_space
 from sympdirac.verify import Verifier
+
+from polycalc import multiply_by, poly_scale
+from verma import verma_action_check
 
 M = 6
 

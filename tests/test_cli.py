@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 BASE = [sys.executable, "-m", "sympdirac.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=env)
 
 
 def test_dim_identity_json():
@@ -301,27 +303,30 @@ def test_one_suite_runs_by_level_with_the_same_rows():
 
 def test_benchmark_tracer_binds_every_name(tmp_path):
     # the benchmark wraps named functions of the package; set-up fails if
-    # one of them is gone
+    # one of them is gone. A traced repetition of relations_extensional
+    # also imports what its sweep uses, and one of kernels_deep runs the
+    # tracer's hooks (matrix columns, nullspace cells, ranks); a traced
+    # repetition samples no speed, so only a fault can make it exit 1
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    r = subprocess.run([sys.executable, "perfbench/rep.py", "--setup-only", "--trace", "1",
-                        "--out", str(tmp_path / "s.json")],
-                       cwd=root, env=env, capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
+    expected = json.loads((root / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    for workload in (None, "relations_extensional", "kernels_deep"):
+        out = tmp_path / f"{workload}.json"
+        args = ["--workload", workload] if workload else ["--setup-only"]
+        r = subprocess.run([sys.executable, "perfbench/rep.py", *args, "--trace", "1", "--out", str(out)],
+                           cwd=root, env=env, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        if workload:
+            record = json.loads(out.read_text(encoding="utf-8"))
+            assert (record["checks"], record["failed_rows"]) == (expected[workload]["checks"], 0)
+            assert record.get("digest") == expected[workload].get("digest")
 
 
 def _report_digest(text):
-    """SHA-256 of a JSON report with every elapsed_s field removed, the
-    digest perfbench/rep.py gates the benchmark's report workloads on."""
-    def strip(node):
-        if isinstance(node, dict):
-            return {k: strip(v) for k, v in node.items() if k != "elapsed_s"}
-        if isinstance(node, list):
-            return [strip(v) for v in node]
-        return node
-
-    canon = json.dumps(strip(json.loads(text)), sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    """SHA-256 of a JSON report without its elapsed_s fields (only suites
+    carry them), the digest perfbench/rep.py gates the benchmark's report
+    workloads on."""
+    return hashlib.sha256(_strip_timing(text).encode("utf-8")).hexdigest()
 
 
 # reports that no benchmark workload runs, with their m and digests

@@ -3,10 +3,9 @@ from math import lcm
 
 import pytest
 
-from sympdirac.linalg import RationalMatrix, matrix_of, rank_certified, stack_matrices
+from sympdirac.linalg import AmbientMismatch, matrix_of, rank_certified
 from sympdirac.operators import (
     ActionKind,
-    ElementaryAction,
     EulerScalar,
     LinearOperator,
     OperatorTerm,
@@ -16,13 +15,11 @@ from sympdirac.operators import (
     commutator,
     compose,
     der_,
-    identity_op,
     integer_images,
     mul_,
     nf_bracket,
     nf_product,
     normal_form,
-    normal_form_op,
     op_scale,
     op_sub,
     sp_labels,
@@ -31,19 +28,17 @@ from sympdirac.polys import (
     Block,
     TriDegree,
     add_scaled,
-    differentiate,
     monomial_basis,
-    multiply_by,
-    poly_scale,
-    random_poly,
     render_poly,
-    tri_degree_of,
     x_,
     y_,
     z_,
 )
 from sympdirac.rationals import QQ
 from sympdirac.verify import Verifier
+
+from linref import cleared_matrix
+from polycalc import differentiate, multiply_by, normal_form_op, poly_scale, random_poly, tri_degree_of
 
 M = 6
 
@@ -195,9 +190,7 @@ def test_projector_on_y_times_harmonic(cat):
         p = multiply_by(h, y_(1))
         got = apply_op(cat["Pi_L"], p)
         expect = poly_scale(p, QQ(2 * a + M, 2 * a + M - 2))
-        tail = poly_scale(multiply_by(poly_mul(z2, h), x_(1)), QQ(1, 2 * a + M - 2))
-        for k, v in tail.items():
-            expect[k] = expect.get(k, QQ(0)) + v
+        add_scaled(expect, multiply_by(poly_mul(z2, h), x_(1)), QQ(1, 2 * a + M - 2))
         assert got == expect
         # the projected vector is killed by L
         assert apply_op(cat["L"], got) == {}
@@ -222,11 +215,7 @@ def test_transvector_C_on_constants_and_harmonics(cat):
     xz = {mono(**{f"x{j}": 1, f"z{j}": 1}): QQ(1) for j in range(1, M + 1)}
     expect = poly_mul(xz, h)
     z2 = {mono(**{f"z{j}": 2}): QQ(1) for j in range(1, M + 1)}
-    corr = poly_scale(multiply_by(z2, x_(1)), QQ(-1, 2 * 2 + M - 4))
-    for k, v in corr.items():
-        expect[k] = expect.get(k, QQ(0)) + v
-        if not expect[k]:
-            del expect[k]
+    add_scaled(expect, multiply_by(z2, x_(1)), QQ(-1, 2 * 2 + M - 4))
     assert got == expect
 
 
@@ -279,12 +268,12 @@ def test_matrix_of_examples(cat):
     for idx, basis_mono in enumerate(dom.basis):
         expect = QQ(2) if basis_mono in squares else QQ(0)
         assert mat.columns[idx].get(0, 0) == expect
-    assert rank_certified(mat.columns, mat.nrows) == 1
+    assert rank_certified(mat.integer_form()[1], mat.nrows) == 1
     assert mat.nullspace().dim == 20
 
     dom2 = Block(M, [TriDegree(1, 0, 1)])
     mat2 = matrix_of(cat["D_s"], dom2, cod)
-    assert rank_certified(mat2.columns, mat2.nrows) == 1
+    assert rank_certified(mat2.integer_form()[1], mat2.nrows) == 1
 
     ident = matrix_of(cat["Id"], dom, dom)
     assert all(ident.columns[i].get(i, 0) == 1 for i in range(dom.dim))
@@ -475,28 +464,35 @@ def test_matrix_of_matches_reference_columns(cat, name, k, t, k_out, t_out):
 
 
 def test_stack_with_different_denominators(cat):
+    # the common nullspace of three matrices with three different D, taken
+    # without stacking them, against the nullspace of their rational stack
     ver = Verifier(M, cat)
     blk = ver.eigenblock(1, 1).block
     third_L = op_scale(cat["L"], QQ(1, 3))
     parts = [matrix_of(third_L, blk, ver.eigenblock(1, -1).block),
              matrix_of(cat["D_s"], blk, ver.eigenblock(0, 1).block),
              matrix_of(cat["Pi_L"], blk, blk)]
-    dens = [mat.integer_form()[0] for mat in parts]
-    assert len(set(dens)) == 3
-    stacked = stack_matrices(parts)
+    assert len({mat.integer_form()[0] for mat in parts}) == 3
     by_hand = [{} for _ in range(blk.dim)]
     offset = 0
     for mat in parts:
         for j, col in enumerate(mat.columns):
             by_hand[j].update({offset + r: v for r, v in col.items()})
         offset += mat.nrows
-    assert stacked.integer_form()[0] == lcm(*dens)
-    assert stacked.columns == by_hand
-    got, want = stacked.nullspace(), RationalMatrix(offset, blk.dim, by_hand).nullspace()
+    got, want = parts[0].nullspace(*parts[1:]), cleared_matrix(offset, blk.dim, by_hand).nullspace()
     assert (got.pivots, got.rows) == (want.pivots, want.rows)
+    assert got.annihilator == tuple(parts)
     # the paper's pair: ker D_s and ker L together, as lowest_weight_space
-    lws = stack_matrices([ver.dirac_matrix(1, 1), ver.lowering_matrix(1, 1)]).nullspace()
+    ds, low = ver.dirac_matrix(1, 1), ver.lowering_matrix(1, 1)
+    lws = ds.nullspace(low)
     assert lws == ver.lowest_weight_space(1, 1)
+    # membership asks every operand: L/3 kills v, D_s does not
+    v = next(r for r in ver.kernel_L(1, 1).int_rows if ds.mul_int_vec(r))
+    assert not parts[0].mul_int_vec(v) and parts[0].nullspace().contains(v)
+    assert not got.contains(v) and not lws.contains(v)
+    # the operands must share the column count
+    with pytest.raises(AmbientMismatch):
+        ds.nullspace(ver.lowering_matrix(1, 2))
 
 
 def test_apply_op_over_two_degrees_with_denominators(cat):

@@ -10,15 +10,9 @@ from sympdirac.polys import (
     VariableId,
     VarBlock,
     basis_size,
-    differentiate,
     monomial_basis,
     monomial_sort_key,
-    multiply_by,
-    poly_add,
-    poly_scale,
-    random_poly,
     render_poly,
-    tri_degree_components,
     tri_degrees_of_total,
     x_,
     y_,
@@ -26,6 +20,8 @@ from sympdirac.polys import (
 )
 from sympdirac.linalg import ImageOutsideCodomain, reindex, vec_to_poly
 from sympdirac.rationals import QQ
+
+from polycalc import differentiate, multiply_by, poly_add, poly_scale, random_poly, tri_degree_components
 
 
 def count_compositions(total, parts):

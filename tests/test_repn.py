@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +6,11 @@ from sympdirac.rationals import QQ
 from sympdirac import repn
 from sympdirac.linalg import vec_to_poly
 from sympdirac.operators import apply_op, catalog, op_scale
-from sympdirac.polys import Block, TriDegree, monomial_m, poly_scale, x_, y_, z_
+from sympdirac.polys import Block, TriDegree, monomial_m
 from sympdirac.repn import (
     BRANCHING_TABLE,
     HighestWeightSO,
     NonDominantWeight,
-    NotLowestWeight,
     VermaLabel,
     casimir_eigencheck,
     casimir_scalar,
@@ -22,10 +19,12 @@ from sympdirac.repn import (
     harmonic_dim,
     harmonic_space,
     simplicial_harmonics,
-    verma_action_check,
     weyl_dim_so,
     zonly_basis,
 )
+
+from polycalc import poly_scale
+from verma import NotLowestWeight, verma_action_check
 
 # dim H_a(R^6) for a = 0..7, from the binomial formula; the nullspace
 # route below has to reproduce these before anything downstream leans

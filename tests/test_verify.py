@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sympdirac.linalg import subspace_intersect, vec_to_poly
+from sympdirac.linalg import vec_to_poly
 from sympdirac.operators import (
     EulerScalar,
     LinearOperator,
@@ -14,14 +14,16 @@ from sympdirac.operators import (
     commutator,
     identity_op,
     normal_form,
-    normal_form_op,
     op_scale,
     sp_labels,
 )
-from sympdirac.polys import Block, TriDegree, poly_scale
+from sympdirac.polys import Block, TriDegree
 from sympdirac.rationals import QQ
 from sympdirac.repn import harmonic_dim, harmonic_space
 from sympdirac.verify import SUITES, Verifier
+
+from linref import subspace_intersect
+from polycalc import normal_form_op, poly_scale, tri_degree_of
 
 M = 6
 
@@ -145,11 +147,22 @@ def test_check_result_as_dict(ver):
     assert "expected" in d and "actual" in d
 
 
+def test_short_poly_counts_monomials_whatever_their_signs():
+    from sympdirac.verify import _short_poly
+
+    x = [tuple(1 if i == j else 0 for i in range(3 * M)) for j in range(5)]
+    later_negative = {x[0]: QQ(1), **{mono: QQ(-1) for mono in x[1:]}}
+    assert _short_poly(later_negative) == "x1 - x2 - x3 + ... (5 terms)"
+    first_negative = {x[0]: QQ(-1), **{mono: QQ(1) for mono in x[1:]}}
+    assert _short_poly(first_negative) == "-x1 + x2 + x3 + ... (5 terms)"
+    mixed = {x[0]: QQ(2), x[1]: QQ(-1, 3), x[2]: QQ(1), x[3]: QQ(-1)}
+    assert _short_poly(mixed) == "2*x1 - 1/3*x2 + x3 + ... (4 terms)"
+    assert _short_poly({mono: QQ(-1) for mono in x[:3]}) == "-x1 - x2 - x3"
+
+
 @pytest.mark.parametrize("op,dk,dt", [("D_s", -1, 0), ("D_s_dag", 1, 0),
                                       ("R", 0, 2), ("L", 0, -2)])
 def test_operators_shift_levels_as_predicted(ver, op, dk, dt):
-    from sympdirac.polys import tri_degree_of
-
     for k, t in ((1, 1), (1, 2), (0, 2)):
         eb = ver.eigenblock(k, t)
         target = ver.eigenblock(k + dk, t + dt)
