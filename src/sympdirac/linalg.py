@@ -360,23 +360,30 @@ def rank_certified(vectors: List[IntRow], ambient: int) -> int:
     return len(_echelon([v for v in vectors if v], ambient))
 
 
-def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
-    """True iff the parts are independent and their sum is exactly target.
-
-    Checked as: dimensions add up to dim(target), the stacked integer rows
-    of the parts have full rank, and every one of them lies in target. All
-    three together force the sum to equal target, with every step exact.
-    """
+def is_independent_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
+    """True iff the dimensions of the parts add up to dim(target) and their
+    stacked integer rows have full rank: is_direct_sum without its
+    containment test, for a caller that has tested every part row against
+    target already."""
     for part in parts:
         if part.ambient != target.ambient:
             raise AmbientMismatch(f"ambient {part.ambient} vs {target.ambient}")
     total = sum(part.dim for part in parts)
     if total != target.dim:
         return False
-    stacked = [row for part in parts for row in part.int_rows]
-    if rank_certified(stacked, target.ambient) != total:
-        return False
-    return all(target.contains(row) for row in stacked)
+    return rank_certified([row for part in parts for row in part.int_rows], target.ambient) == total
+
+
+def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
+    """True iff the parts are independent and their sum is exactly target.
+
+    Checked as: dimensions add up to dim(target), the stacked integer rows
+    of the parts have full rank (is_independent_sum), and every one of them
+    lies in target. All three together force the sum to equal target, with
+    every step exact.
+    """
+    return is_independent_sum(parts, target) and all(
+        target.contains(row) for part in parts for row in part.int_rows)
 
 
 # ---------------------------------------------------------------------------

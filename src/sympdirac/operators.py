@@ -54,6 +54,10 @@ looks up each plan once. A rational is formed only where a result leaves
 this layer: apply_op forms one per output entry, and matrix_of (linalg)
 and the extensional sweeps (verify) take the integer images with their D.
 
+site_symmetric reads the compiled form too: an operator commutes with
+every permutation of the sites (x_a, y_a, z_a) when its words and their
+scalars are unchanged under (1 2) and the m-cycle.
+
 The compiled path and the normal form share no helper, and only the
 extensional checks apply composed operators, so the extensional and
 symbolic certificates share neither a helper nor `compose` and stay
@@ -62,6 +66,7 @@ independent checks of each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm
@@ -373,6 +378,31 @@ def integer_images(op: LinearOperator, monos: Iterable[Monomial]) -> Iterator[Tu
             if all(mono[i] + k for i, k in comp.words[j][0]):
                 raise SingularEulerDenominator(op.label, TriDegree(*deg))
         yield _run(keyed, always, mono), den
+
+
+def site_map(perm, m: int) -> List[int]:
+    """Where each flat position goes when the sites (x_a, y_a, z_a) are
+    permuted: site a (0-based) moves to site perm[a] in each block."""
+    return [i - i % m + perm[i % m] for i in range(3 * m)]
+
+
+def site_symmetric(op: LinearOperator, m: int) -> bool:
+    """True when op commutes with every permutation of the m sites: its
+    compiled form at m is unchanged when the sites are permuted by (1 2)
+    and by the m-cycle, which generate S_m. A word's scalar is compared as
+    compiled, its constant and the multiset of its Euler scalars, so a
+    symmetric operator may fail the test, but no other operator passes."""
+    comp = op.compiled.get(m)
+    if comp is None:
+        comp = op.compiled[m] = _Compiled(op.terms, m)
+    table = {word: (const, Counter(eulers)) for word, (_, const, eulers) in zip(comp.words, comp.scalars)}
+    for perm in ([1, 0] + list(range(2, m)), list(range(1, m)) + [0]):
+        to = site_map(perm, m)
+        moved = {(tuple(sorted((to[i], k) for i, k in offsets)), tuple(sorted((to[i], c) for i, c in change))): v
+                 for (offsets, change), v in table.items()}
+        if moved != table:
+            return False
+    return True
 
 
 def apply_op(op: LinearOperator, p: Poly) -> Poly:

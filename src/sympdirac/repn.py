@@ -2,15 +2,43 @@
 
 Highest weights here always have at most two rows (lambda1, lambda2);
 that is all the branching of the degree-one symplectic monogenics ever
-produces. Dimensions come from three independent routes: the binomial
-formula for spherical harmonics, the elimination-of-harmonics formula
-for hook weights (lambda2 = 1), and the Weyl product over the positive
-roots of so(m), which covers everything and cross-checks the other two.
+produces. A report takes every dimension from two closed forms: the
+binomial formula for spherical harmonics and the elimination-of-harmonics
+formula for hook weights (lambda2 = 1). The Weyl product over the positive
+roots of so(m) covers the other weights; only tests compare it with the
+closed forms.
 
 Spherical harmonics exist only as harmonic_space's integer rows, in the
 coordinates of the z-only block of their degree, and are used as they are.
 
 Verma modules enter only through their lowest weight (VermaLabel).
+
+A component of the branching table is certified to be a Casimir
+eigenspace without the Casimir matrix of its eigenblock when these exact
+statements hold (casimir_identities, intertwines_rotations):
+
+- once per m, on normal forms: the catalog's Casimir is
+  -sum_{a<b} L_ab^2, where L_ab is the catalog's L_1_2 with its sites 1, 2
+  moved to a, b; and, up to words that differentiate by y, it is the
+  Howe-duality expression (R. Howe, Trans. AMS 313, 1989)
+      E_x(E_x+m-2) - 2E_x + E_z(E_z+m-2)
+      - |z|^2 Delta_z - |x|^2 Delta_x - 2<x,z><d_x,d_z> + 2<x,d_z><z,d_x>,
+  and the same with x and y exchanged. Each quadratic term ends in one of
+  the pairings whose common kernel is H_{k,l}(z; x) (_pairings, which
+  simplicial_harmonics takes its constraints from), so on that space the
+  Casimir is the scalar howe_scalar(m, k, l); on z-only harmonics H_d, the
+  case l = 0, it is d(d+m-2). A hook component is such a space, so it
+  needs nothing more;
+- per operator T of an image component (S_xz H, Pi_L C_yz H, the split
+  of C_xz H and Pi_L S_yz H, and Pi_L of the raw y-hook): T commutes with
+  every site permutation (operators.site_symmetric) and T L_12 = L_12 T
+  on T's domain block, tested column by column on block matrices. Then T
+  commutes with every L_ab there, hence with the Casimir, and maps the
+  source eigenspace into the eigenspace of the same scalar.
+
+When any of these fails, or the source scalar is not the component's
+expected one, the component is certified by casimir_eigencheck on the
+eigenblock Casimir matrix, with that route's verdict and witness.
 """
 
 from __future__ import annotations
@@ -34,7 +62,18 @@ from .polys import (
     _compositions,
 )
 from .linalg import RationalMatrix, Subspace, matrix_of, operator_matrix, vec_to_poly
-from .operators import LinearOperator, inner_der_der, inner_mul_der
+from .operators import (
+    LinearOperator,
+    NormalForm,
+    inner_der_der,
+    inner_mul_der,
+    inner_mul_mul,
+    nf_product,
+    nf_sum,
+    normal_form,
+    site_map,
+    site_symmetric,
+)
 
 
 class NonDominantWeight(Exception):
@@ -214,12 +253,25 @@ _SLOT = {"x": 0, "y": 1, "z": 2}
 _MAKER = {"x": x_, "y": y_, "z": z_}
 
 
+def _pairings(m: int, first: str, second: str) -> Dict[str, LinearOperator]:
+    """The O(m)-invariant pairings whose common kernel in degree k in the
+    first variable f and l in the second s is H_{k,l}(f; s): the Laplacians
+    <d_f, d_f> and <d_s, d_s>, the mixed Laplacian <d_f, d_s> and the skew
+    Euler operator <f, d_s>. simplicial_harmonics takes its constraints
+    from here and casimir_identities its Howe identities, so a hook's
+    annihilator is made of the operators the identities name."""
+    f, s = _MAKER[first], _MAKER[second]
+    return {"lap_first": LinearOperator("lap_first", inner_der_der(f, f, m)),
+            "lap_second": LinearOperator("lap_second", inner_der_der(s, s, m)),
+            "lap_mixed": LinearOperator("lap_mixed", inner_der_der(f, s, m)),
+            "skew_euler": LinearOperator("skew_euler", inner_mul_der(f, s, m))}
+
+
 @lru_cache(maxsize=None)
 def simplicial_harmonics(m: int, k: int, l: int, first: str = "z", second: str = "x") -> Tuple[Block, Subspace]:
     """H_{k,l}(first; second): degree k in the first variable, l in the
-    second, killed by both Laplacians, the mixed Laplacian and the skew
-    Euler operator <first, d_second>. Returns the graded block and the
-    kernel inside it.
+    second, killed by the four pairings of _pairings that do not vanish on
+    the block. Returns the graded block and the kernel inside it.
     """
     if first not in _SLOT or second not in _SLOT or first == second:
         raise ValueError(f"bad variable pair ({first!r}, {second!r})")
@@ -229,27 +281,16 @@ def simplicial_harmonics(m: int, k: int, l: int, first: str = "z", second: str =
     deg[_SLOT[first]] = k
     deg[_SLOT[second]] = l
     domain = Block(m, [TriDegree(*deg)])
-    f, s = _MAKER[first], _MAKER[second]
+    pairings = _pairings(m, first, second)
 
     constraints = []
-    if k >= 2:
-        shift = list(deg)
-        shift[_SLOT[first]] -= 2
-        constraints.append((LinearOperator("lap_first", inner_der_der(f, f, m)), shift))
-    if l >= 2:
-        shift = list(deg)
-        shift[_SLOT[second]] -= 2
-        constraints.append((LinearOperator("lap_second", inner_der_der(s, s, m)), shift))
-    if k >= 1 and l >= 1:
-        shift = list(deg)
-        shift[_SLOT[first]] -= 1
-        shift[_SLOT[second]] -= 1
-        constraints.append((LinearOperator("lap_mixed", inner_der_der(f, s, m)), shift))
-    if l >= 1:
-        shift = list(deg)
-        shift[_SLOT[first]] += 1
-        shift[_SLOT[second]] -= 1
-        constraints.append((LinearOperator("skew_euler", inner_mul_der(f, s, m)), shift))
+    for name, needed, df, ds in (("lap_first", k >= 2, -2, 0), ("lap_second", l >= 2, 0, -2),
+                                 ("lap_mixed", k >= 1 and l >= 1, -1, -1), ("skew_euler", l >= 1, 1, -1)):
+        if needed:
+            shift = list(deg)
+            shift[_SLOT[first]] += df
+            shift[_SLOT[second]] += ds
+            constraints.append((pairings[name], shift))
 
     if not constraints:
         return domain, Subspace.full(domain.dim)
@@ -294,3 +335,70 @@ def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspa
         if residual:
             return CasimirCheck(False, expected, vec_to_poly(sub.rows[i], block))
     return CasimirCheck(True, expected)
+
+
+def _nf(terms: List, m: int) -> NormalForm:
+    """The normal form at m of the sum of terms."""
+    return normal_form(LinearOperator("howe_term", terms), m)
+
+
+def casimir_identities(cat: Dict[str, LinearOperator], m: int) -> bool:
+    """True iff cat's Casimir satisfies, in normal form, the identities of
+    the module docstring: it is -sum_{a<b} L_ab^2, L_ab the catalog's L_1_2
+    with sites 1, 2 moved to a, b (operators.site_map), and for u = x, y it
+    is the Howe expression in u and z once the words that differentiate by
+    the third variable are dropped. The annihilating pairings are
+    _pairings(m, "z", u). An operator with Euler denominators has no
+    normal form, so such a Casimir or L_1_2 fails too."""
+    try:
+        cas = normal_form(cat["Casimir"], m)
+        rot = normal_form(cat["L_1_2"], m)
+    except ValueError:
+        return False
+    squares = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            to = site_map([a, b] + [j for j in range(m) if j not in (a, b)], m)
+            moved = (rot[0], {(tuple(sorted(to[i] for i in ders)), tuple(sorted(to[i] for i in muls))): v
+                              for (ders, muls), v in rot[1].items()})
+            squares.append((1, nf_product(moved, moved)))
+    if nf_sum((1, cas), *squares)[1]:
+        return False
+    e_z = _nf(inner_mul_der(z_, z_, m), m)
+    for u, third in (("x", "y"), ("y", "x")):
+        p = {name: normal_form(op, m) for name, op in _pairings(m, "z", u).items()}
+        uu = _MAKER[u]
+        e_u = _nf(inner_mul_der(uu, uu, m), m)
+        howe = nf_sum((1, nf_product(e_u, e_u)), (m - 4, e_u), (1, nf_product(e_z, e_z)), (m - 2, e_z),
+                      (-1, nf_product(_nf(inner_mul_mul(z_, z_, m), m), p["lap_first"])),
+                      (-1, nf_product(_nf(inner_mul_mul(uu, uu, m), m), p["lap_second"])),
+                      (-2, nf_product(_nf(inner_mul_mul(uu, z_, m), m), p["lap_mixed"])),
+                      (2, nf_product(_nf(inner_mul_der(uu, z_, m), m), p["skew_euler"])))
+        lo = _SLOT[third] * m
+        rest = nf_sum((1, cas), (-1, howe))[1]
+        if any(not any(lo <= i < lo + m for i in ders) for ders, _ in rest):
+            return False
+    return True
+
+
+def howe_scalar(m: int, k: int, l: int) -> int:
+    """The Howe expression of casimir_identities on H_{k,l}(z; u), where
+    E_z = k, E_u = l and every pairing term vanishes:
+    l(l+m-2) - 2l + k(k+m-2). At l = 0 it is d(d+m-2) on H_k."""
+    return l * (l + m - 2) - 2 * l + k * (k + m - 2)
+
+
+def intertwines_rotations(cat: Dict[str, LinearOperator], op: LinearOperator, dom: Block, cod: Block) -> bool:
+    """True when op commutes with every L_ab on the block dom: op commutes
+    with the site permutations (operators.site_symmetric), and
+    L_12 (op e_j) == op (L_12 e_j) for every basis vector e_j of dom, with
+    L_12 the catalog's and both sides read on block matrices kept on the
+    operators. Both sides carry the same denominators, so they are
+    compared as integer vectors."""
+    if not site_symmetric(op, dom.m):
+        return False
+    mat = operator_matrix(op, dom, cod)
+    rot_cod = operator_matrix(cat["L_1_2"], cod, cod)
+    rot_dom = operator_matrix(cat["L_1_2"], dom, dom).integer_form()[1]
+    return all(rot_cod.mul_int_vec(col) == mat.mul_int_vec(r)
+               for col, r in zip(mat.integer_form()[1], rot_dom))

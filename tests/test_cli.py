@@ -329,11 +329,19 @@ def _report_digest(text):
     return hashlib.sha256(_strip_timing(text).encode("utf-8")).hexdigest()
 
 
-# reports that no benchmark workload runs, with their m and digests
-OTHER_REPORTS = {
-    "report_m7": {"m": 7, "checks": 157,
-                  "digest": "8814ba88ba25aeb215e5956f6618731fc6dc93167c7c9f499c119fcfe83d77f5"},
-}
+# the digest ladder: reports at m >= 7 that no benchmark workload runs,
+# (m, ranges) -> checks and digest; scripts/ladder.py runs all of them
+LADDER = {(e["m"], e["ranges"]): e for e in json.loads(
+    (Path(__file__).resolve().parent / "ladder.json").read_text(encoding="utf-8"))}
+
+
+def _assert_report_matches(m, a_max, suites, expected, jobs=1):
+    from sympdirac import cli
+
+    report = cli.build_report(m, a_max, a_max, list(suites), jobs=jobs)
+    assert sum(len(s["checks"]) for s in report["suites"]) == expected["checks"]
+    assert report["summary"]["fail"] == 0
+    assert _report_digest(cli.render_json(report)) == expected["digest"]
 
 
 @pytest.mark.parametrize("workload, a_max, suites", [
@@ -343,17 +351,22 @@ OTHER_REPORTS = {
 ])
 def test_reports_match_benchmark_digests(workload, a_max, suites):
     # a reordered or changed check fails here, not only in the benchmark
-    from sympdirac import cli
     from sympdirac.verify import SUITES
 
-    expected = OTHER_REPORTS.get(workload)
-    if expected is None:
+    if workload == "report_m7":
+        m, expected = 7, LADDER[(7, a_max)]
+    else:
         root = Path(__file__).resolve().parents[1]
+        m = 6
         expected = json.loads((root / "perfbench" / "expected.json").read_text(encoding="utf-8"))[workload]
     # the default report also by level on a process pool
     for jobs in ((1, 2, 3) if workload == "report_default" else (1,)):
-        report = cli.build_report(expected.get("m", 6), a_max, a_max, list(suites or SUITES),
-                                  jobs=jobs)
-        assert sum(len(s["checks"]) for s in report["suites"]) == expected["checks"]
-        assert report["summary"]["fail"] == 0
-        assert _report_digest(cli.render_json(report)) == expected["digest"]
+        _assert_report_matches(m, a_max, suites or SUITES, expected, jobs)
+
+
+@pytest.mark.parametrize("m", [11, 12])
+def test_ladder_reports_above_m8_match_their_digests(m):
+    # one odd m (so(m) of type B) and one even (type D) from the ladder
+    from sympdirac.verify import SUITES
+
+    _assert_report_matches(m, 2, SUITES, LADDER[(m, 2)])

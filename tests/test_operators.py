@@ -22,6 +22,8 @@ from sympdirac.operators import (
     normal_form,
     op_scale,
     op_sub,
+    site_map,
+    site_symmetric,
     sp_labels,
 )
 from sympdirac.polys import (
@@ -637,3 +639,28 @@ def test_reassigning_terms_raises_and_normal_form_stays_per_m():
     new = LinearOperator("op", replacement)
     assert normal_form(new, 6) == (2, {((6,), (6,)): 3, ((), ()): 3})
     assert normal_form(new, 7) == (2, {((7,), (7,)): 3, ((), ()): 3})
+
+
+def _site_terms(pairs, m=M):
+    """sum over (j, k) of x_j d_{z_k}, 1-based sites."""
+    return [OperatorTerm(EulerScalar(1), (der_(z_(k)), mul_(x_(j)))) for j, k in pairs]
+
+
+def test_site_symmetric_needs_both_generators(cat):
+    for name in ("S_xz", "C_xz", "S_yz", "C_yz", "Pi_L", "Casimir", "D_s", "L"):
+        assert site_symmetric(cat[name], M), name
+    assert not site_symmetric(cat["L_1_2"], M)
+    # fixed by (1 2) but not by the m-cycle, and the other way round
+    assert not site_symmetric(LinearOperator("x1dz1+x2dz2", _site_terms([(1, 1), (2, 2)])), M)
+    shift = LinearOperator("shift", _site_terms([(j, j % M + 1) for j in range(1, M + 1)]))
+    assert not site_symmetric(shift, M)
+    assert site_symmetric(LinearOperator("<x,dz>", _site_terms([(j, j) for j in range(1, M + 1)])), M)
+    # one site's term dropped
+    assert not site_symmetric(LinearOperator("S_yz", cat["S_yz"].terms[1:]), M)
+
+
+def test_site_map_moves_every_block_alike():
+    to = site_map([2, 0, 1] + list(range(3, M)), M)
+    assert sorted(to) == list(range(3 * M))
+    assert [to[0], to[M], to[2 * M]] == [2, M + 2, 2 * M + 2]
+    assert [to[1], to[2], to[3]] == [0, 1, 3]

@@ -5,19 +5,33 @@ from hypothesis import strategies as st
 from sympdirac.rationals import QQ
 from sympdirac import repn
 from sympdirac.linalg import vec_to_poly
-from sympdirac.operators import apply_op, catalog, op_scale
-from sympdirac.polys import Block, TriDegree, monomial_m
+from sympdirac.operators import (
+    EulerScalar,
+    LinearOperator,
+    OperatorTerm,
+    apply_op,
+    catalog,
+    der_,
+    inner_mul_der,
+    mul_,
+    op_scale,
+    site_symmetric,
+)
+from sympdirac.polys import Block, TriDegree, monomial_m, x_, y_, z_
 from sympdirac.repn import (
     BRANCHING_TABLE,
     HighestWeightSO,
     NonDominantWeight,
     VermaLabel,
     casimir_eigencheck,
+    casimir_identities,
     casimir_scalar,
     components_at_level,
     dim_weight,
     harmonic_dim,
     harmonic_space,
+    howe_scalar,
+    intertwines_rotations,
     simplicial_harmonics,
     weyl_dim_so,
     zonly_basis,
@@ -249,3 +263,55 @@ def test_verma_label_describe_negative():
     assert VermaLabel(QQ(5)).describe(6) == "m/2+2"
     with pytest.raises(ValueError):
         VermaLabel(QQ(7, 3)).describe(6)
+
+
+@pytest.mark.parametrize("m", [6, 7, 8, 9])
+def test_casimir_identities_hold_for_the_catalog(m):
+    assert casimir_identities(catalog(m), m)
+
+
+def test_casimir_identities_fail_for_a_mutated_casimir_or_rotation(cat):
+    for name, op in (("Casimir", op_scale(cat["Casimir"], QQ(1, 2))),
+                     ("L_1_2", op_scale(cat["L_1_2"], 2))):
+        mutant = dict(cat)
+        mutant[name] = op
+        assert not casimir_identities(mutant, 6), name
+    # a word through d_x and d_y is dropped by both Howe identities; only
+    # the sum of squared rotations sees it
+    extra = OperatorTerm(EulerScalar(1), (der_(x_(1)), der_(y_(1)), mul_(z_(1)), mul_(z_(1))))
+    mutant = dict(cat)
+    mutant["Casimir"] = LinearOperator("Casimir", cat["Casimir"].terms + (extra,))
+    assert not casimir_identities(mutant, 6)
+
+
+def test_howe_identities_read_the_hook_annihilator(cat, monkeypatch):
+    # with another skew Euler operator the identities fail: they hold only
+    # for the pairings simplicial_harmonics takes its constraints from
+    pairings = repn._pairings
+
+    def other_skew(m, first, second):
+        out = pairings(m, first, second)
+        out["skew_euler"] = LinearOperator("skew_euler", inner_mul_der(repn._MAKER[second], z_, m))
+        return out
+
+    monkeypatch.setattr(repn, "_pairings", other_skew)
+    assert not casimir_identities(cat, 6)
+
+
+def test_howe_scalar_is_the_casimir_scalar_of_the_hook_and_harmonic_weights():
+    for m in (6, 7, 8):
+        for k in range(8):
+            assert howe_scalar(m, k, 0) == casimir_scalar(m, HighestWeightSO(k)) == k * (k + m - 2)
+            if k >= 1:
+                assert howe_scalar(m, k, 1) == casimir_scalar(m, HighestWeightSO(k, 1))
+
+
+def test_intertwines_rotations(cat):
+    k0, k1 = Block(6, [TriDegree(0, 0, 3)]), Block(6, [TriDegree(1, 0, 2)])
+    assert intertwines_rotations(cat, cat["S_xz"], k0, k1)
+    # fixed by every site permutation, but no rotation commutes with it
+    cubic = LinearOperator("sum x_j^2 d_zj", [OperatorTerm(EulerScalar(1), (der_(z_(j)), mul_(x_(j)), mul_(x_(j))))
+                                             for j in range(1, 7)])
+    assert site_symmetric(cubic, 6)
+    assert not intertwines_rotations(cat, cubic, k0, Block(6, [TriDegree(2, 0, 2)]))
+    assert not intertwines_rotations(cat, LinearOperator("S_xz", cat["S_xz"].terms[1:]), k0, k1)

@@ -15,6 +15,7 @@ from sympdirac.operators import (
     identity_op,
     normal_form,
     op_scale,
+    op_scale_by_euler,
     sp_labels,
 )
 from sympdirac.polys import Block, TriDegree
@@ -198,8 +199,9 @@ def test_mutated_casimir_does_not_leak_cache():
 def test_operator_matrices_built_once_per_verifier(monkeypatch):
     # kernel_Ds, kernel_L and lowest_weight_space share the D_s and L
     # matrices of a (k, t), the R-towers and the families apply matrices
-    # too, and Verifiers over one catalog share the matrices kept on its
-    # operators; no (operator, domain, codomain) is built twice
+    # too, the Casimir rows read L_1_2's, and Verifiers over one catalog
+    # share the matrices kept on its operators; no (operator, domain,
+    # codomain) is built twice, and none for a clean catalog's Casimir
     from sympdirac import linalg
 
     built = []
@@ -215,7 +217,7 @@ def test_operator_matrices_built_once_per_verifier(monkeypatch):
     assert all(r.passed for r in ver.l_fischer(2) + ver.branching_table(1))
     assert built and len(set(built)) == len(built)
     assert {op for op, _, _ in built} == {id(cat[name]) for name in (
-        "D_s", "L", "Casimir", "R", "S_xz", "C_xz", "S_yz", "Pi_L", "D_s_dag")}
+        "D_s", "L", "L_1_2", "R", "S_xz", "C_xz", "S_yz", "Pi_L", "D_s_dag")}
     first = list(built)
     ver2 = Verifier(M, cat)
     assert all(r.passed for r in ver2.l_fischer(2) + ver2.branching_table(1))
@@ -351,3 +353,74 @@ def test_mutated_family_operator_fails_with_a_witness(name):
     failed = [r for r in Verifier(M, cat).branching_table(2) if not r.passed]
     assert any(r.witness for r in failed), name
     _assert_all_pass(Verifier(M, clean).branching_table(2))
+
+
+@pytest.mark.parametrize("m, t_max", [(6, 4), (7, 3)])
+def test_clean_branching_table_builds_no_casimir_matrix(monkeypatch, m, t_max):
+    # every component_casimir row of a clean catalog is certified through
+    # the Howe identities and L_1_2 intertwiners, never on the Casimir
+    from sympdirac import linalg
+
+    built = []
+    orig = linalg.matrix_of
+
+    def recording(op, domain, codomain):
+        built.append(op)
+        return orig(op, domain, codomain)
+
+    monkeypatch.setattr(linalg, "matrix_of", recording)
+    cat = catalog(m)
+    _assert_all_pass(Verifier(m, cat).branching_table(t_max))
+    assert cat["L_1_2"] in built
+    assert cat["Casimir"] not in built
+
+
+def _flip_first_term(op):
+    s = op.terms[0].scalar
+    flipped = OperatorTerm(EulerScalar(-s.coeff, s.num, s.den), op.terms[0].actions)
+    return LinearOperator(op.label, (flipped,) + op.terms[1:])
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("Casimir", lambda op: op_scale(op, QQ(1, 2))),
+    ("Casimir", lambda op: op_scale(op, 2)),
+    # an Euler denominator: the Casimir has no normal form
+    ("Casimir", lambda op: op_scale_by_euler(op, EulerScalar(1, (), ((0, 0, 1, M),)))),
+    ("Pi_L", _flip_first_term),
+    ("S_xz", _flip_first_term),
+    ("C_xz", _flip_first_term),
+    ("C_yz", _flip_first_term),
+    # drops y_1 d_{z_1}: the other sites keep theirs, so S_m no longer fixes it
+    ("S_yz", lambda op: LinearOperator(op.label, op.terms[1:])),
+], ids=["halved_Casimir", "doubled_Casimir", "Euler_Casimir", "Pi_L", "S_xz", "C_xz", "C_yz", "S_yz"])
+def test_casimir_route_gives_the_rows_of_the_matrix_route(monkeypatch, name, mutate):
+    # a mutant fails as it does when every component is certified on the
+    # eigenblock Casimir matrix: same rows, verdicts and witnesses
+    from sympdirac import verify
+
+    cat = catalog(M)
+    cat[name] = mutate(cat[name])
+    on_matrix = []
+    eigencheck = verify.casimir_eigencheck
+
+    def recording(cat, block, sub, w):
+        on_matrix.append(str(w))
+        return eigencheck(cat, block, sub, w)
+
+    monkeypatch.setattr(verify, "casimir_eigencheck", recording)
+    routed = [r.as_dict() for r in Verifier(M, cat).branching_table(3)]
+    fell_back = list(on_matrix)
+    monkeypatch.setattr(verify, "casimir_identities", lambda cat, m: False)
+    forced = [r.as_dict() for r in Verifier(M, cat).branching_table(3)]
+    assert routed == forced
+    assert any(not r["pass"] and r.get("witness") for r in routed)
+    components = [r for r in routed if r["name"] == "component_casimir"]
+    if name == "Casimir":
+        # a rescaled Casimir still has the eigenvalue 0 of weight (0)
+        assert len(fell_back) == len(components)
+        assert all(r["pass"] == (r["params"]["eigenvalue"] == "0") for r in components)
+    elif name == "Pi_L":
+        # -Id + RL/(scriptE - 2) still commutes with so(m): nothing falls back
+        assert not fell_back
+    else:
+        assert 0 < len(fell_back) < len(components)
