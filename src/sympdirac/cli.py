@@ -58,12 +58,6 @@ def largest_block(m: int, a_max: int, t_max: int) -> int:
 BLOCK_MAX = largest_block(8, RANGE_MAX, RANGE_MAX)
 
 
-def run_suite(name: str, a_max: int, t_max: int, ver: Verifier) -> List[Dict[str, object]]:
-    """Execute one suite on ver and return its check rows as dicts."""
-    rows = getattr(ver, name)(*SUITES[name].args(a_max, t_max))
-    return [r.as_dict() for r in rows]
-
-
 # A unit as the pool schedules it: (suite, index among the suite's units,
 # Verifier method, args). A worker receives only each unit's (method, args).
 PoolUnit = Tuple[str, int, str, Tuple[int, ...]]
@@ -133,8 +127,8 @@ def build_report(m: int, a_max: int, t_max: int, suites: Sequence[str],
         results = []
         for name in suites:
             t0 = time.perf_counter()
-            checks = run_suite(name, a_max, t_max, ver)
-            results.append((name, time.perf_counter() - t0, checks))
+            rows = getattr(ver, name)(*SUITES[name].args(a_max, t_max))
+            results.append((name, time.perf_counter() - t0, [r.as_dict() for r in rows]))
     n_pass = n_fail = 0
     for name, elapsed, checks in results:
         for c in checks:

@@ -43,7 +43,9 @@ A nullspace of several matrices (`M.nullspace(*below)`) eliminates all
 their transposed rows, each made primitive, so the operands are never
 stacked or brought to one denominator. It keeps the operands as its
 annihilator: a vector lies in it iff every operand sends it to zero, a
-test on the matrices that does not read the computed basis.
+test on the matrices that does not read the computed basis. That and the
+whole space are the only membership tests; a span built from vectors has
+none, so the target of is_direct_sum is a nullspace or the whole space.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ class Subspace:
     read.
 
     A subspace produced as a nullspace remembers the matrices it is the
-    common kernel of; membership tests then reduce to exact sparse
+    common kernel of; a membership test reduces to exact sparse
     matrix-vector products on those matrices' integer forms.
     """
 
@@ -164,7 +166,6 @@ class Subspace:
         self.pivots = pivots
         self.int_rows = int_rows
         self.annihilator = annihilator
-        self._row_of = {p: i for i, p in enumerate(pivots)}
         self._rows: Optional[List[Row]] = None
 
     @classmethod
@@ -192,33 +193,18 @@ class Subspace:
                           for p, row in zip(self.pivots, self.int_rows)]
         return self._rows
 
-    def _residual(self, vec: IntRow) -> IntRow:
-        """A positive multiple of vec minus its projection along the pivot
-        columns, in a copy of vec. A reduced row is zero at every other
-        pivot, so each pivot entry of vec is cleared once, by its own row."""
-        w = dict(vec)
-        for c in vec:
-            i = self._row_of.get(c)
-            if i is not None:
-                row = self.int_rows[i]
-                lead, f = row[c], w[c]
-                g = gcd(lead, f)
-                a = lead // g
-                if a != 1:
-                    for k in w:
-                        w[k] *= a
-                add_scaled(w, row, -(f // g))
-        return w
-
     def contains(self, vec: IntRow) -> bool:
+        """True iff vec lies in the subspace; the subspace must be the whole
+        space or a nullspace, else ValueError. In a nullspace, vec lies iff
+        every operand of its annihilator sends it to zero."""
         for c in vec:
             if not 0 <= c < self.ambient:
                 raise AmbientMismatch(f"coordinate {c} outside ambient dimension {self.ambient}")
         if self.dim == self.ambient:
             return True
-        if self.annihilator is not None:
-            return not any(mat.mul_int_vec(vec) for mat in self.annihilator)
-        return not self._residual(vec)
+        if self.annihilator is None:
+            raise ValueError("membership is tested only in the whole space or a nullspace")
+        return not any(mat.mul_int_vec(vec) for mat in self.annihilator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -375,7 +361,8 @@ def is_independent_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
 
 
 def is_direct_sum(parts: Sequence[Subspace], target: Subspace) -> bool:
-    """True iff the parts are independent and their sum is exactly target.
+    """True iff the parts are independent and their sum is exactly target,
+    which is the whole space or a nullspace (Subspace.contains).
 
     Checked as: dimensions add up to dim(target), the stacked integer rows
     of the parts have full rank (is_independent_sum), and every one of them

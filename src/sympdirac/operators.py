@@ -506,14 +506,14 @@ def _single(scalar: EulerScalar, *actions: ElementaryAction) -> OperatorTerm:
     return OperatorTerm(scalar, tuple(actions))
 
 
-def dirac_down(m: int, label: str = "D_s") -> LinearOperator:
+def dirac_down(m: int) -> LinearOperator:
     """D_s = <z, d_y> - <d_x, d_z>."""
-    return LinearOperator(label, inner_mul_der(z_, y_, m) + inner_der_der(x_, z_, m, sign=-1))
+    return LinearOperator("D_s", inner_mul_der(z_, y_, m) + inner_der_der(x_, z_, m, sign=-1))
 
 
-def dirac_up(m: int, label: str = "D_s_dag") -> LinearOperator:
+def dirac_up(m: int) -> LinearOperator:
     """D_s_dag = <y, d_z> + <x, z>."""
-    return LinearOperator(label, inner_mul_der(y_, z_, m) + inner_mul_mul(x_, z_, m))
+    return LinearOperator("D_s_dag", inner_mul_der(y_, z_, m) + inner_mul_mul(x_, z_, m))
 
 
 def lowering_L(m: int) -> LinearOperator:
@@ -672,16 +672,15 @@ def catalog(m: int) -> Dict[str, LinearOperator]:
 
     cat.update(_sp_generators(m))
 
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            cat[f"L_{a}_{b}"] = _rotation(m, a, b)
-
-    # so(m) Casimir, sign fixed so that eigenvalues on spherical harmonics
-    # come out as sum_i lambda_i (lambda_i + m - 2i) >= 0
+    # the one rotation a report reads (repn.casimir_identities moves it to
+    # every pair of sites), and the so(m) Casimir -sum_{a<b} L_ab^2, sign
+    # fixed so that eigenvalues on spherical harmonics come out as
+    # sum_i lambda_i (lambda_i + m - 2i) >= 0
+    cat["L_1_2"] = _rotation(m, 1, 2)
     cas_terms: List[OperatorTerm] = []
     for a in range(1, m + 1):
         for b in range(a + 1, m + 1):
-            rot = cat[f"L_{a}_{b}"]
+            rot = _rotation(m, a, b)
             cas_terms.extend(op_scale(compose(rot, rot), -1).terms)
     cat["Casimir"] = LinearOperator("Casimir", cas_terms)
 

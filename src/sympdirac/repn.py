@@ -2,14 +2,14 @@
 
 Highest weights here always have at most two rows (lambda1, lambda2);
 that is all the branching of the degree-one symplectic monogenics ever
-produces. A report takes every dimension from two closed forms: the
+produces. Every dimension comes from one of two closed forms: the
 binomial formula for spherical harmonics and the elimination-of-harmonics
-formula for hook weights (lambda2 = 1). The Weyl product over the positive
-roots of so(m) covers the other weights; only tests compare it with the
-closed forms.
+formula for hook weights (lambda2 = 1). No report meets another weight, so
+dim_weight refuses one.
 
-Spherical harmonics exist only as harmonic_space's integer rows, in the
-coordinates of the z-only block of their degree, and are used as they are.
+The spherical harmonics H_a are the simplicial harmonics H_{a,0}(z; x):
+harmonic_space is simplicial_harmonics' kernel at l = 0, in the
+coordinates of the z-only block of degree a.
 
 Verma modules enter only through their lowest weight (VermaLabel).
 
@@ -44,23 +44,12 @@ eigenblock Casimir matrix, with that route's verdict and witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .rationals import QQ
-from .polys import (
-    Block,
-    Poly,
-    TriDegree,
-    add_scaled,
-    monomial_sort_key,
-    x_,
-    y_,
-    z_,
-    _compositions,
-)
+from .polys import Block, Poly, TriDegree, add_scaled, x_, y_, z_
 from .linalg import RationalMatrix, Subspace, matrix_of, operator_matrix, vec_to_poly
 from .operators import (
     LinearOperator,
@@ -164,86 +153,19 @@ def harmonic_dim(m: int, a: int) -> int:
     return comb(a + m - 1, m - 1) - comb(a + m - 3, m - 1)
 
 
-def weyl_dim_so(m: int, l1: int, l2: int = 0) -> int:
-    """Weyl dimension product for so(m), weight (l1, l2, 0, ..., 0)."""
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
-    HighestWeightSO(l1, l2)
-    r = m // 2
-    if r < 2 and l2 > 0:
-        raise ValueError(f"so({m}) has rank {r}, two-row weights need rank >= 2")
-    lam = [l1, l2] + [0] * (r - 2) if r >= 2 else [l1]
-    rho = [Fraction(m - 2 * i, 2) for i in range(1, r + 1)]
-    num = Fraction(1)
-    den = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            num *= (lam[i] + rho[i]) - (lam[j] + rho[j])
-            den *= rho[i] - rho[j]
-            num *= (lam[i] + rho[i]) + (lam[j] + rho[j])
-            den *= rho[i] + rho[j]
-        if m % 2 == 1:
-            num *= lam[i] + rho[i]
-            den *= rho[i]
-    val = num / den
-    if val.denominator != 1:
-        raise ArithmeticError(f"Weyl product not integral for ({l1},{l2}) at m={m}")
-    return int(val)
-
-
 def dim_weight(m: int, w: HighestWeightSO) -> int:
-    """Dimension of the so(m) module of highest weight w.
-
-    Closed forms for one-row and hook weights; the Weyl product otherwise.
-    """
+    """Dimension of the so(m) module of highest weight w, for a one-row or
+    hook weight; ValueError for lambda2 >= 2."""
     if w.l2 == 0:
         return harmonic_dim(m, w.l1)
     if w.l2 == 1:
         return m * harmonic_dim(m, w.l1) - harmonic_dim(m, w.l1 + 1) - harmonic_dim(m, w.l1 - 1)
-    return weyl_dim_so(m, w.l1, w.l2)
+    raise ValueError(f"no closed form for the weight {w}")
 
 
 def casimir_scalar(m: int, w: HighestWeightSO) -> QQ:
     """Eigenvalue of the so(m) Casimir on the module of highest weight w."""
     return QQ(w.l1 * (w.l1 + m - 2) + w.l2 * (w.l2 + m - 4))
-
-
-# ---------------------------------------------------------------------------
-# harmonics in a single vector variable, any m >= 2
-
-@lru_cache(maxsize=None)
-def zonly_basis(m: int, d: int) -> Tuple[Tuple[int, ...], ...]:
-    """Canonically ordered monomial exponents of degree d in m variables."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if d < 0:
-        return ()
-    return tuple(sorted(_compositions(d, m), key=monomial_sort_key))
-
-
-@lru_cache(maxsize=None)
-def harmonic_space(m: int, a: int) -> Subspace:
-    """Kernel of the Laplacian on degree-a polynomials in m variables,
-    as a subspace in the coordinates of zonly_basis(m, a), which for
-    m >= 6 are those of the z-only Block of tri-degree (0, 0, a).
-
-    Works below the stable range too (m >= 2); the full graded machinery
-    is bypassed on purpose so small-m sanity checks stay possible.
-    """
-    basis = zonly_basis(m, a)
-    if a < 2:
-        return Subspace.full(len(basis))
-    codo = zonly_basis(m, a - 2)
-    codo_index = {mono: i for i, mono in enumerate(codo)}
-    columns = []
-    for mono in basis:
-        col: Dict[int, int] = {}
-        for i, e in enumerate(mono):
-            if e >= 2:
-                tgt = mono[:i] + (e - 2,) + mono[i + 1:]
-                col[codo_index[tgt]] = e * (e - 1)
-        columns.append(col)
-    return RationalMatrix(len(codo), len(basis), 1, columns).nullspace()
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +220,13 @@ def simplicial_harmonics(m: int, k: int, l: int, first: str = "z", second: str =
     return domain, mats[0].nullspace(*mats[1:])
 
 
+def harmonic_space(m: int, a: int) -> Subspace:
+    """The spherical harmonics H_a in m variables, a >= 0: H_{a,0}(z; x)
+    of simplicial_harmonics, in the coordinates of the z-only Block of
+    tri-degree (0, 0, a)."""
+    return simplicial_harmonics(m, a, 0)[1]
+
+
 # ---------------------------------------------------------------------------
 # Casimir certification
 
@@ -306,19 +235,9 @@ def casimir_matrix(cat: Dict[str, LinearOperator], block: Block) -> RationalMatr
     return operator_matrix(cat["Casimir"], block, block)
 
 
-@dataclass
-class CasimirCheck:
-    ok: bool
-    expected: QQ
-    offending: Optional[Poly] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspace, w: HighestWeightSO) -> CasimirCheck:
-    """True iff cat's Casimir acts on every vector of sub as the scalar of
-    weight w; on failure the first offending vector rides along.
+def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspace, w: HighestWeightSO) -> Optional[Poly]:
+    """The first vector of sub on which cat's Casimir does not act as the
+    scalar of weight w, as a polynomial; None when there is none.
 
     The matrix is the one kept on that Casimir operator, whose terms are
     fixed, so a catalog with another Casimir is certified on its own
@@ -333,8 +252,8 @@ def casimir_eigencheck(cat: Dict[str, LinearOperator], block: Block, sub: Subspa
         residual = mat.mul_int_vec(r, q)
         add_scaled(residual, r, -p * den)
         if residual:
-            return CasimirCheck(False, expected, vec_to_poly(sub.rows[i], block))
-    return CasimirCheck(True, expected)
+            return vec_to_poly(sub.rows[i], block)
+    return None
 
 
 def _nf(terms: List, m: int) -> NormalForm:

@@ -6,12 +6,14 @@ and of the grading operator script-E with eigenvalue m/2 + t. Suites
 construct the advertised subspaces explicitly, compute kernels as exact
 nullspaces, and check direct-sum decompositions with exact ranks.
 
-Every vector is an integer row in one block's coordinates; harmonics are
-repn.harmonic_space's rows, in z-only eigenblock coordinates. An operator
-reaches a vector only as its block matrix kept on the operator
-(linalg.operator_matrix) times a row, and multiplying by a variable is a
-change of coordinates (linalg.reindex). A polynomial is formed only for a
-witness.
+An eigenblock is the Block of its tri-degrees. Every vector is an integer
+row in one block's coordinates. The spherical harmonics H_a are
+repn.harmonic_space's rows: the simplicial harmonics H_{a,0}, in the
+coordinates of the z-only eigenblock (0, a), whose lowest-weight space
+s0_branching compares them with. An operator reaches a vector only as its
+block matrix kept on the operator (linalg.operator_matrix) times a row,
+and multiplying by a variable is a change of coordinates
+(linalg.reindex). A polynomial is formed only for a witness.
 
 Suites that run over levels are split into units, one per level (SUITES):
 the units at level t certify statements about eigenblock (1, t) or (0, t)
@@ -76,7 +78,6 @@ from .operators import (
     sp_labels,
 )
 from .repn import (
-    CasimirCheck,
     HighestWeightSO,
     casimir_eigencheck,
     casimir_identities,
@@ -96,30 +97,13 @@ from .repn import (
 Unit = Tuple[Optional[int], str, Tuple[int, ...]]
 
 
-def _short_poly(p, max_terms: int = 3) -> str:
-    """Abbreviated rendering for witness strings: the first max_terms
+def _short_poly(p) -> str:
+    """Abbreviated rendering for witness strings: the first three
     monomials in canonical order, then the number of terms."""
-    if len(p) <= max_terms:
+    if len(p) <= 3:
         return render_poly(p)
-    head = sorted(p, key=monomial_sort_key)[:max_terms]
+    head = sorted(p, key=monomial_sort_key)[:3]
     return render_poly({mono: p[mono] for mono in head}) + f" + ... ({len(p)} terms)"
-
-
-@dataclass(frozen=True)
-class EigenBlock:
-    """The (k, alpha) joint eigenspace, alpha = m/2 + t."""
-
-    m: int
-    k: int
-    t: int
-    block: Block
-
-    @property
-    def alpha(self) -> QQ:
-        return QQ(self.m, 2) + self.t
-
-    def __repr__(self) -> str:
-        return f"EigenBlock(m={self.m}, k={self.k}, alpha=m/2{self.t:+d}, dim={self.block.dim})"
 
 
 @dataclass
@@ -149,10 +133,11 @@ def _row(name: str, params: Dict[str, object], expected, actual, witness=None) -
     return CheckResult(name, params, e, a, e == a and witness is None, witness)
 
 
-def _eigenblock(m: int, k: int, t: int) -> EigenBlock:
-    # tri-degree (kx, k - kx, kz) has script-E eigenvalue m/2 + kz + k - 2 kx
+def _eigenblock(m: int, k: int, t: int) -> Block:
+    """The (k, m/2 + t) joint eigenspace: tri-degree (kx, k - kx, kz) has
+    script-E eigenvalue m/2 + kz + k - 2 kx."""
     degs = [TriDegree(kx, k - kx, t + 2 * kx - k) for kx in range(k + 1) if t + 2 * kx - k >= 0]
-    return EigenBlock(m, k, t, Block(m, degs))
+    return Block(m, degs)
 
 
 def _times_var(block: Block, i: int) -> List[Monomial]:
@@ -197,14 +182,14 @@ class Verifier:
 
     # -- eigenblocks and kernels
 
-    def eigenblock(self, k: int, t: int) -> EigenBlock:
+    def eigenblock(self, k: int, t: int) -> Block:
         return self._memoized(("eigenblock", k, t), lambda: _eigenblock(self.m, k, t))
 
     def dirac_matrix(self, k: int, t: int) -> RationalMatrix:
-        return operator_matrix(self.cat["D_s"], self.eigenblock(k, t).block, self.eigenblock(k - 1, t).block)
+        return operator_matrix(self.cat["D_s"], self.eigenblock(k, t), self.eigenblock(k - 1, t))
 
     def lowering_matrix(self, k: int, t: int) -> RationalMatrix:
-        return operator_matrix(self.cat["L"], self.eigenblock(k, t).block, self.eigenblock(k, t - 2).block)
+        return operator_matrix(self.cat["L"], self.eigenblock(k, t), self.eigenblock(k, t - 2))
 
     def kernel_Ds(self, k: int, t: int) -> Subspace:
         return self._memoized(("kernel_Ds", k, t), lambda: self.dirac_matrix(k, t).nullspace())
@@ -229,8 +214,7 @@ class Verifier:
         """rows of eigenblock (k, low) under the operator name applied
         (t - low) / 2 times, each time from (k, l) to (k, l + 2)."""
         for level in range(low, t, 2):
-            rows = self._images(name, rows, self.eigenblock(k, level).block,
-                                self.eigenblock(k, level + 2).block)
+            rows = self._images(name, rows, self.eigenblock(k, level), self.eigenblock(k, level + 2))
         return rows
 
     def _y_block(self, a: int) -> Block:
@@ -250,27 +234,27 @@ class Verifier:
         fam: Dict[str, object] = {"eb": eb}
 
         def harmonics(e: int) -> Tuple[List[IntRow], Block]:
-            return harmonic_space(m, e).int_rows, self.eigenblock(0, e).block
+            return harmonic_space(m, e).int_rows, self.eigenblock(0, e)
 
         def nonzero(rows: List[IntRow]) -> List[IntRow]:
             return [row for row in rows if row]
 
         if a >= 1:
             blk, sp = simplicial_harmonics(m, a, 1, "z", "x")
-            fam["hook_x"] = reindex(sp.int_rows, blk.basis, eb.block)
+            fam["hook_x"] = reindex(sp.int_rows, blk.basis, eb)
         else:
             fam["hook_x"] = []
 
-        fam["s_x"] = nonzero(self._images("S_xz", *harmonics(a + 1), eb.block))
+        fam["s_x"] = nonzero(self._images("S_xz", *harmonics(a + 1), eb))
 
         if a >= 3:
             # sp's block has yb's one tri-degree, so sp's rows are yb's coordinates
             blk, sp = simplicial_harmonics(m, a - 2, 1, "z", "y")
-            fam["hook_y_raw"] = reindex(sp.int_rows, blk.basis, eb.block)
-            fam["hook_y"] = nonzero(self._images("Pi_L", sp.int_rows, yb, eb.block))
+            fam["hook_y_raw"] = reindex(sp.int_rows, blk.basis, eb)
+            fam["hook_y"] = nonzero(self._images("Pi_L", sp.int_rows, yb, eb))
             raw_c = nonzero(self._images("C_yz", *harmonics(a - 3), yb))
-            fam["c_y_raw"] = reindex(raw_c, yb.basis, eb.block)
-            fam["c_y"] = nonzero(self._images("Pi_L", raw_c, yb, eb.block))
+            fam["c_y_raw"] = reindex(raw_c, yb.basis, eb)
+            fam["c_y"] = nonzero(self._images("Pi_L", raw_c, yb, eb))
         else:
             fam["hook_y_raw"] = fam["hook_y"] = fam["c_y_raw"] = fam["c_y"] = []
 
@@ -283,9 +267,9 @@ class Verifier:
         ratios = set()
         if a >= 1:
             hs, k0 = harmonics(a - 1)
-            cx = operator_matrix(self.cat["C_xz"], k0, eb.block)
+            cx = operator_matrix(self.cat["C_xz"], k0, eb)
             sy = operator_matrix(self.cat["S_yz"], k0, yb)
-            pi = operator_matrix(self.cat["Pi_L"], yb, eb.block)
+            pi = operator_matrix(self.cat["Pi_L"], yb, eb)
             ds = self.dirac_matrix(1, a - 1)
             d1 = cx.integer_form()[0]
             d2 = sy.integer_form()[0] * pi.integer_form()[0]
@@ -304,7 +288,7 @@ class Verifier:
                         kernel_combos.append(merged)
                     else:
                         ratios.add(("degenerate", str(null.dim)))
-            image_vecs = self._images("D_s_dag", hs, k0, eb.block)
+            image_vecs = self._images("D_s_dag", hs, k0, eb)
         fam["split_kernel"] = kernel_combos
         fam["split_image"] = image_vecs
         fam["split_ratios"] = tuple(sorted(ratios))
@@ -405,9 +389,9 @@ class Verifier:
             parts = []
             for p in range(d // 2 + 1):
                 vecs = self._raised("sl_h_X", harmonic_space(m, d - 2 * p).int_rows, 0, d - 2 * p, d)
-                parts.append(Subspace.from_vectors(eb.block.dim, vecs))
-            ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
-            rows.append(_row("fischer_z_decomposition", {"d": d, "dim": eb.block.dim,
+                parts.append(Subspace.from_vectors(eb.dim, vecs))
+            ok = is_direct_sum(parts, Subspace.full(eb.dim))
+            rows.append(_row("fischer_z_decomposition", {"d": d, "dim": eb.dim,
                                                          "parts": [s.dim for s in parts]}, True, ok))
         return rows
 
@@ -424,25 +408,25 @@ class Verifier:
         eb = self.eigenblock(1, t)
         ker = self.kernel_L(1, t)
         expected_dim = m * (harmonic_dim(m, a) + harmonic_dim(m, a - 2))
-        rows.append(_row("kernel_L_dim", {"a": a, "block_dim": eb.block.dim},
+        rows.append(_row("kernel_L_dim", {"a": a, "block_dim": eb.dim},
                          expected_dim, ker.dim))
 
         # x_j H_a, and Pi_L y_j H_{a-2}, j = 1..m
-        hx, zb = harmonic_space(m, a).int_rows, self.eigenblock(0, a).block
-        xs = [row for j in range(m) for row in reindex(hx, _times_var(zb, j), eb.block)]
+        hx, zb = harmonic_space(m, a).int_rows, self.eigenblock(0, a)
+        xs = [row for j in range(m) for row in reindex(hx, _times_var(zb, j), eb)]
         bad = sum(1 for v in xs if not ker.contains(v))
         rows.append(_row("x_harmonics_in_kernel", {"a": a, "vectors": len(xs)}, 0, bad))
 
         ys: List[IntRow] = []
         if a >= 2:
             yb = self._y_block(a)
-            hy, zb = harmonic_space(m, a - 2).int_rows, self.eigenblock(0, a - 2).block
+            hy, zb = harmonic_space(m, a - 2).int_rows, self.eigenblock(0, a - 2)
             yh = [row for j in range(m) for row in reindex(hy, _times_var(zb, m + j), yb)]
-            ys = self._images("Pi_L", yh, yb, eb.block)
+            ys = self._images("Pi_L", yh, yb, eb)
             bad = sum(1 for v in ys if not ker.contains(v))
             rows.append(_row("projected_y_harmonics_in_kernel", {"a": a, "vectors": len(ys)}, 0, bad))
 
-        parts = [Subspace.from_vectors(eb.block.dim, vecs) for vecs in (xs, ys) if vecs]
+        parts = [Subspace.from_vectors(eb.dim, vecs) for vecs in (xs, ys) if vecs]
         ok = is_direct_sum(parts, ker)
         rows.append(_row("table_direct_sum", {"a": a, "x_rows": len(xs), "y_rows": len(ys),
                                               "degenerate": a < 2}, True, ok))
@@ -455,10 +439,10 @@ class Verifier:
         eb = self.eigenblock(k, t)
         parts = []
         level = t
-        while self.eigenblock(k, level).block.dim:
+        while self.eigenblock(k, level).dim:
             vecs = self._raised("R", self.kernel_L(k, level).int_rows, k, level, t)
             if vecs:
-                parts.append(Subspace.from_vectors(eb.block.dim, vecs))
+                parts.append(Subspace.from_vectors(eb.dim, vecs))
             level -= 2
         return parts
 
@@ -468,8 +452,8 @@ class Verifier:
     def l_fischer_at(self, k: int, t: int) -> List[CheckResult]:
         eb = self.eigenblock(k, t)
         parts = self._r_tower_parts(k, t)
-        ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
-        rows = [_row("fischer_tower", {"k": k, "t": t, "dim": eb.block.dim,
+        ok = is_direct_sum(parts, Subspace.full(eb.dim))
+        rows = [_row("fischer_tower", {"k": k, "t": t, "dim": eb.dim,
                                        "parts": [s.dim for s in parts]}, True, ok)]
         if k == 1:
             ker = self.kernel_L(1, t).dim
@@ -501,21 +485,20 @@ class Verifier:
         ker = self.kernel_Ds(1, t)
         k0 = self.eigenblock(0, t)
         parts = [ker]
-        if k0.block.dim:
+        if k0.dim:
             # rank and span do not change under scaling, so the
             # integer columns serve
-            up = operator_matrix(self.cat["D_s_dag"], k0.block, eb.block).integer_form()[1]
-            rank = rank_certified(up, eb.block.dim)
-            rows.append(_row("dirac_up_injective", {"a": a, "k0_dim": k0.block.dim},
-                             k0.block.dim, rank))
-            parts.append(Subspace.from_vectors(eb.block.dim, up))
-        ok = is_direct_sum(parts, Subspace.full(eb.block.dim))
-        rows.append(_row("symplectic_fischer_sum", {"a": a, "dim": eb.block.dim,
+            up = operator_matrix(self.cat["D_s_dag"], k0, eb).integer_form()[1]
+            rank = rank_certified(up, eb.dim)
+            rows.append(_row("dirac_up_injective", {"a": a, "k0_dim": k0.dim}, k0.dim, rank))
+            parts.append(Subspace.from_vectors(eb.dim, up))
+        ok = is_direct_sum(parts, Subspace.full(eb.dim))
+        rows.append(_row("symplectic_fischer_sum", {"a": a, "dim": eb.dim,
                                                     "kernel": ker.dim,
-                                                    "image": k0.block.dim}, True, ok))
-        bad, first = _nonzero_images(self._ds_bracket(), eb.block.basis)
+                                                    "image": k0.dim}, True, ok))
+        bad, first = _nonzero_images(self._ds_bracket(), eb.basis)
         wit = None if first is None else render_poly(monomial_poly(first))
-        rows.append(_row("bracket_on_block", {"a": a, "dim": eb.block.dim}, 0, bad, wit))
+        rows.append(_row("bracket_on_block", {"a": a, "dim": eb.dim}, 0, bad, wit))
         return rows
 
     # ------------------------------------------------------------------
@@ -529,7 +512,7 @@ class Verifier:
         rows: List[CheckResult] = []
         t = a - 1
         fam = self.families(a)
-        eb: EigenBlock = fam["eb"]
+        eb: Block = fam["eb"]
         ker = self.kernel_Ds(1, t)
         kerL = self.kernel_L(1, t)
         lws = self.lowest_weight_space(1, t)
@@ -544,12 +527,12 @@ class Verifier:
             bad = sum(1 for v in vecs if not ker.contains(v))
             rows.append(_row(f"{label}_in_ker_Ds", {"a": a, "vectors": len(vecs)}, 0, bad))
 
-        parts = [Subspace.from_vectors(eb.block.dim, fam[key]) for key in
+        parts = [Subspace.from_vectors(eb.dim, fam[key]) for key in
                  ("hook_x", "s_x", "hook_y", "c_y", "split_kernel") if fam[key]]
         ok = is_direct_sum(parts, lws)
         rows.append(_row("families_span_lowest_weight_space",
                          {"a": a, "lws": lws.dim, "parts": [s.dim for s in parts]}, True, ok))
-        image_span = Subspace.from_vectors(eb.block.dim, fam["split_image"])
+        image_span = Subspace.from_vectors(eb.dim, fam["split_image"])
         full_parts = parts + ([image_span] if fam["split_image"] else [])
         ok_full = is_direct_sum(full_parts, kerL)
         rows.append(_row("families_with_image_span_ker_L",
@@ -573,8 +556,8 @@ class Verifier:
 
         if a >= 1:
             # D_s D_s_dag H = -m H, tested as (D M_down)(D' M_up) r = -m D D' r
-            k0 = self.eigenblock(0, t).block
-            up = operator_matrix(self.cat["D_s_dag"], k0, eb.block)
+            k0 = self.eigenblock(0, t)
+            up = operator_matrix(self.cat["D_s_dag"], k0, eb)
             down = self.dirac_matrix(1, t)
             den = up.integer_form()[0] * down.integer_form()[0]
             bad = 0
@@ -638,7 +621,7 @@ class Verifier:
         contained = True
         for line, aa, w in comps:
             key = by_offset[line.verma_offset]
-            span = Subspace.from_vectors(eb.block.dim, fam[key])
+            span = Subspace.from_vectors(eb.dim, fam[key])
             spans.append(span)
             rows.append(_row("component_dim", {"t": t, "weight": str(w),
                                                "verma": line.verma_at(m, aa).describe(m)},
@@ -649,18 +632,17 @@ class Verifier:
                 if not lws.contains(row):
                     bad += 1
                     if wit is None:
-                        wit = _short_poly(vec_to_poly(span.rows[i], eb.block))
+                        wit = _short_poly(vec_to_poly(span.rows[i], eb))
             contained = contained and not bad
             rows.append(_row("component_in_lws", {"t": t, "weight": str(w)}, 0, bad, wit))
             expected = casimir_scalar(m, w)
-            if self._casimir_by_intertwiners(t, key, expected):
-                chk = CasimirCheck(True, expected)
-            else:
-                chk = casimir_eigencheck(cat, eb.block, span, w)
+            offending = None
+            if not self._casimir_by_intertwiners(t, key, expected):
+                offending = casimir_eigencheck(cat, eb, span, w)
             rows.append(_row("component_casimir", {"t": t, "weight": str(w),
-                                                   "eigenvalue": qq_str(chk.expected)},
-                             True, chk.ok,
-                             None if chk.ok else render_poly(chk.offending)))
+                                                   "eigenvalue": qq_str(expected)},
+                             True, offending is None,
+                             None if offending is None else render_poly(offending)))
         # every span row was just tested against lws, so only the
         # dimension and rank halves of is_direct_sum remain
         ok = contained and is_independent_sum(spans, lws)
@@ -680,10 +662,10 @@ class Verifier:
         m = self.m
         if not self._memoized(("casimir_identities",), lambda: casimir_identities(self.cat, m)):
             return False
-        eb, yb = self.eigenblock(1, t).block, self._y_block(t + 1)
+        eb, yb = self.eigenblock(1, t), self._y_block(t + 1)
 
         def k0(d: int) -> Block:
-            return self.eigenblock(0, d).block
+            return self.eigenblock(0, d)
 
         (k, l), ops = {
             "hook_x": ((t + 1, 1), ()),
@@ -729,14 +711,14 @@ class Verifier:
     # ------------------------------------------------------------------
     # suite: s0_branching
 
-    def s0_branching(self, d_max: int = 6) -> List[CheckResult]:
+    def s0_branching(self, d_max: int) -> List[CheckResult]:
         m = self.m
         rows: List[CheckResult] = []
         for d in range(d_max + 1):
             eb = self.eigenblock(0, d)
             rows.append(_row("dirac_vanishes_on_k0", {"d": d},
-                             eb.block.dim, self.kernel_Ds(0, d).dim))
-            blk, harm = simplicial_harmonics(m, d, 0)
+                             eb.dim, self.kernel_Ds(0, d).dim))
+            harm = harmonic_space(m, d)
             same = self.lowest_weight_space(0, d) == harm
             rows.append(_row("k0_lws_is_harmonics", {"d": d, "dim": harm.dim}, True, same))
         return rows

@@ -1,8 +1,10 @@
 """Linear-algebra helpers that only the tests use. linalg takes integer
 rows only; these clear the rational rows and matrices that some tests
-build, read a matrix's rows and intersect two subspaces."""
+build, read a matrix's rows and intersect two subspaces. linalg tests
+membership only in a nullspace or the whole space; these test it in any
+span and give a span as a nullspace."""
 
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List
 
 from sympdirac.linalg import AmbientMismatch, IntRow, RationalMatrix, Row, Subspace
@@ -48,3 +50,32 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
                 add_scaled(vec, a.int_rows[i], f)
         vectors.append(vec)
     return Subspace.from_vectors(a.ambient, vectors)
+
+
+def span_contains(sub: Subspace, vec: IntRow) -> bool:
+    """True iff vec lies in sub, by clearing each pivot entry of a copy of
+    vec with its own reduced row (each is zero at every other pivot)."""
+    row_of = {p: i for i, p in enumerate(sub.pivots)}
+    w = dict(vec)
+    for c in vec:
+        i = row_of.get(c)
+        if i is not None:
+            row = sub.int_rows[i]
+            g = gcd(row[c], w[c])
+            lead, f = row[c] // g, w[c] // g
+            w = {k: v * lead for k, v in w.items()}
+            add_scaled(w, row, -f)
+    return not w
+
+
+def as_nullspace(sub: Subspace) -> Subspace:
+    """sub as the nullspace of the matrix whose rows span its orthogonal
+    complement, so that its membership test is linalg's."""
+    def with_rows(rows: List[IntRow]) -> RationalMatrix:
+        cols: List[IntRow] = [{} for _ in range(sub.ambient)]
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                cols[c][r] = v
+        return RationalMatrix(len(rows), sub.ambient, 1, cols)
+
+    return with_rows(with_rows(sub.int_rows).nullspace().int_rows).nullspace()

@@ -122,7 +122,7 @@ def test_criterion_02_projector_formula(ver):
     for a in range(5):
         den = QQ(1, 2 * a + M - 2)
         for row in harmonic_space(M, a).rows:
-            h = vec_to_poly(row, ver.eigenblock(0, a).block)
+            h = vec_to_poly(row, ver.eigenblock(0, a))
             for i in range(1, M + 1):
                 yh = multiply_by(h, y_(i))
                 lhs = apply_op(cat["Pi_L"], yh)
@@ -173,7 +173,7 @@ def test_criterion_06_kernel_families(ver, suite_cache):
         nh = harmonic_dim(M, a - 1)
         assert len(fam["split_kernel"]) == nh
         assert len(fam["split_image"]) == nh
-        dim = fam["eb"].block.dim
+        dim = fam["eb"].dim
         assert Subspace.from_vectors(dim, fam["split_kernel"]).dim == nh
         assert Subspace.from_vectors(dim, fam["split_image"]).dim == nh
     _verdict(6, "five kernel families inside ker_1(D_s), a <= 4", rows)

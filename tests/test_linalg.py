@@ -14,7 +14,7 @@ from sympdirac.linalg import (
 from sympdirac.polys import add_scaled
 from sympdirac.rationals import QQ
 
-from linref import cleared, cleared_matrix, matrix_rows, subspace_intersect
+from linref import as_nullspace, cleared, cleared_matrix, matrix_rows, span_contains, subspace_intersect
 
 
 def random_matrix(rng, nrows, ncols, density=0.2):
@@ -86,15 +86,15 @@ def test_dimension_formula_sum_intersection():
         i = subspace_intersect(a, b)
         assert s.dim + i.dim == a.dim + b.dim
         for vec in i.int_rows:
-            assert a.contains(vec) and b.contains(vec)
+            assert span_contains(a, vec) and span_contains(b, vec)
         for vec in a.int_rows:
-            assert s.contains(vec)
+            assert span_contains(s, vec)
 
 
 def test_membership_and_ambient_guard():
     a = Subspace.from_vectors(4, [{0: 1, 1: 2}, {2: 1}])
-    assert a.contains({0: 3, 1: 6, 2: -1})
-    assert not a.contains({3: 1})
+    assert span_contains(a, {0: 3, 1: 6, 2: -1})
+    assert not span_contains(a, {3: 1})
     b = Subspace.from_vectors(5, [{0: 1}])
     with pytest.raises(AmbientMismatch):
         subspace_intersect(a, b)
@@ -130,12 +130,12 @@ def test_is_direct_sum():
     b = Subspace.from_vectors(amb, [e(2)])
     c = Subspace.from_vectors(amb, [{3: 1, 4: 1}, e(5)])
     full = Subspace.full(amb)
-    partial = Subspace.from_vectors(amb, [e(0), e(1), e(2), {3: 1, 4: 1}, e(5)])
+    partial = as_nullspace(Subspace.from_vectors(amb, [e(0), e(1), e(2), {3: 1, 4: 1}, e(5)]))
     assert is_direct_sum([a, b, c], partial)
     assert not is_direct_sum([a, b, c], full)  # dimensions do not add up
     overlap = Subspace.from_vectors(amb, [{0: 1, 2: 1}])
     assert not is_direct_sum([a, b, overlap, Subspace.from_vectors(amb, [e(4), e(5)])], full)
-    wrong_target = Subspace.from_vectors(amb, [e(i) for i in (0, 1, 2, 3)])
+    wrong_target = as_nullspace(Subspace.from_vectors(amb, [e(i) for i in (0, 1, 2, 3)]))
     d = Subspace.from_vectors(amb, [e(4)])
     assert not is_direct_sum([a, b, d], wrong_target)  # sum has right dim, wrong space
 
@@ -162,7 +162,7 @@ def test_span_is_the_same_from_rational_and_scaled_integer_vectors():
         assert (a.pivots, a.rows) == (b.pivots, b.rows) == dense_rref(vecs, n)
         assert rank_certified(scaled, n) == rank_certified([cleared(v) for v in vecs], n) == a.dim
         for vec, big in zip(vecs, scaled):
-            assert a.contains(big) and b.contains(cleared(vec))
+            assert span_contains(a, big) and span_contains(b, cleared(vec))
         # same pivots, different span
         if a.dim and len(a.int_rows[0]) > 1:
             moved = {c: v * (2 if c == a.pivots[0] else 1) for c, v in a.int_rows[0].items()}
@@ -190,15 +190,15 @@ def test_rank_and_direct_sum_on_big_integer_rows():
     a = Subspace.from_vectors(n, [u])
     b = Subspace.from_vectors(n, [v])
     c = Subspace.from_vectors(n, [w])
-    target = Subspace.from_vectors(n, [u, v])
+    target = as_nullspace(Subspace.from_vectors(n, [u, v]))
     assert target.dim == 2 and target.contains(w)
     assert is_direct_sum([a, b], target)
     assert is_direct_sum([a, c], target)
     assert not is_direct_sum([a, b, c], target)          # dimensions do not add up
-    assert not is_direct_sum([a, b], Subspace.from_vectors(n, [u, {3: big}]))  # v outside
+    assert not is_direct_sum([a, b], as_nullspace(Subspace.from_vectors(n, [u, {3: big}])))  # v outside
     # the dependence survives as a failed rank on a target of the right size
     assert not is_direct_sum([b, c, Subspace.from_vectors(n, [{c: 2 * huge * x for c, x in u.items()}])],
-                             Subspace.from_vectors(n, [u, v, {3: 1}]))
+                             as_nullspace(Subspace.from_vectors(n, [u, v, {3: 1}])))
     # kernel membership on integer rows above 2**64: the columns of the
     # matrix are u, v and w, so (2*huge, -3*big, -1) is in its kernel
     mat = RationalMatrix(n, 3, 1, [u, v, w])
@@ -215,8 +215,8 @@ def test_matrix_entry_and_image():
     assert mat.columns[1].get(1, 0) == 0
     img = Subspace.from_vectors(mat.nrows, mat.integer_form()[1])
     assert img.dim == 2
-    assert img.contains({0: 2, 2: 1})
-    assert not img.contains({1: 1})
+    assert span_contains(img, {0: 2, 2: 1})
+    assert not span_contains(img, {1: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +326,23 @@ def test_reduce_and_contains_match_dense_reference():
             dense_dim = len(dense_rref(sub.rows, n)[0])
             for vec in (inside, other, {}):
                 in_span = len(dense_rref(sub.rows + [vec], n)[0]) == dense_dim
-                assert sub.contains(cleared(vec)) == in_span
-                assert sub.contains(cleared(vec)) == (not dense_reduce(sub, vec))
+                assert span_contains(sub, cleared(vec)) == in_span
+                assert span_contains(sub, cleared(vec)) == (not dense_reduce(sub, vec))
+                # as a nullspace, the span has linalg's membership test
+                assert as_nullspace(sub).contains(cleared(vec)) == in_span
         # the vectors touch pivot and free columns alike
         free = set(range(n)) - set(subs[0].pivots)
         if free and subs[0].dim:
             probe = {min(free): 3, subs[0].pivots[0]: 2}
-            assert not subs[0].contains(probe)
-        assert subs[0].contains(cleared(inside)) and subs[1].contains(cleared(other))
+            assert not span_contains(subs[0], probe)
+        assert span_contains(subs[0], cleared(inside)) and subs[1].contains(cleared(other))
+        assert as_nullspace(subs[0]) == subs[0]
+
+
+def test_contains_refuses_a_span_that_is_not_a_nullspace():
+    span = Subspace.from_vectors(3, [{0: 1, 1: 2}])
+    with pytest.raises(ValueError):
+        span.contains({0: 1, 1: 2})
+    with pytest.raises(ValueError):
+        is_direct_sum([span], span)
+    assert as_nullspace(span).contains({0: 1, 1: 2})

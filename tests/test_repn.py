@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from sympdirac.operators import (
     op_scale,
     site_symmetric,
 )
-from sympdirac.polys import Block, TriDegree, monomial_m, x_, y_, z_
+from sympdirac.polys import Block, TriDegree, monomial_m, monomial_sort_key, x_, y_, z_
 from sympdirac.repn import (
     BRANCHING_TABLE,
     HighestWeightSO,
@@ -33,8 +36,6 @@ from sympdirac.repn import (
     howe_scalar,
     intertwines_rotations,
     simplicial_harmonics,
-    weyl_dim_so,
-    zonly_basis,
 )
 
 from polycalc import poly_scale
@@ -60,31 +61,34 @@ def test_harmonic_space_matches_formula():
         assert harmonic_space(6, a).dim == H_DIMS_M6[a]
 
 
-def test_harmonic_space_below_stable_range():
-    # the classical counts: dim H_a(R^3) = 2a+1, dim H_a(R^2) = 2 for a >= 1
-    assert harmonic_space(3, 2).dim == 5
-    assert harmonic_space(3, 4).dim == 9
-    assert harmonic_space(2, 3).dim == 2
-    assert harmonic_space(2, 0).dim == 1
-
-
 def test_harmonic_polys_are_harmonic():
-    # sanity on one basis: apply the z-Laplacian by hand
-    basis = zonly_basis(4, 3)
-    for row in harmonic_space(4, 3).rows:
-        p = {basis[i]: c for i, c in row.items()}
+    # an independent reference: the z-Laplacian applied by hand
+    blk = Block(6, [TriDegree(0, 0, 4)])
+    for row in harmonic_space(6, 4).rows:
         out = {}
-        for mono, c in p.items():
-            for i, e in enumerate(mono):
-                if e >= 2:
-                    tgt = mono[:i] + (e - 2,) + mono[i + 1:]
-                    out[tgt] = out.get(tgt, QQ(0)) + c * e * (e - 1)
+        for mono, c in vec_to_poly(row, blk).items():
+            for i in range(12, 18):
+                if mono[i] >= 2:
+                    tgt = mono[:i] + (mono[i] - 2,) + mono[i + 1:]
+                    out[tgt] = out.get(tgt, QQ(0)) + c * mono[i] * (mono[i] - 1)
         assert not any(out.values())
 
 
-def test_zonly_basis_is_canonical():
-    basis = zonly_basis(2, 2)
-    assert basis == ((2, 0), (1, 1), (0, 2))
+def weyl_dim_so(m: int, l1: int, l2: int = 0) -> int:
+    """The Weyl dimension product for so(m) at the weight (l1, l2, 0, ...,
+    0), the reference that dim_weight's closed forms are compared with."""
+    r = m // 2
+    lam = [l1, l2] + [0] * (r - 2)
+    rho = [Fraction(m - 2 * i, 2) for i in range(1, r + 1)]
+    val = Fraction(1)
+    for i in range(r):
+        for j in range(i + 1, r):
+            val *= (lam[i] + rho[i] - lam[j] - rho[j]) / (rho[i] - rho[j])
+            val *= (lam[i] + rho[i] + lam[j] + rho[j]) / (rho[i] + rho[j])
+        if m % 2 == 1:
+            val *= (lam[i] + rho[i]) / rho[i]
+    assert val.denominator == 1
+    return int(val)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,14 +128,16 @@ def test_simplicial_dims_both_routes():
 def test_simplicial_l0_is_plain_harmonics():
     blk, space = simplicial_harmonics(6, 3, 0)
     assert space.dim == H_DIMS_M6[3]
-    assert blk.dim == len(zonly_basis(6, 3))
+    assert blk.dim == comb(8, 5)
 
 
 def test_simplicial_two_two_matches_weyl():
-    # lambda2 = 2 exercises the Weyl product branch of dim_weight
-    assert dim_weight(6, HighestWeightSO(2, 2)) == 84
+    # no report meets lambda2 = 2, so dim_weight has no closed form for it
+    assert weyl_dim_so(6, 2, 2) == 84
     blk, space = simplicial_harmonics(6, 2, 2, "z", "x")
     assert space.dim == 84
+    with pytest.raises(ValueError):
+        dim_weight(6, HighestWeightSO(2, 2))
 
 
 def test_casimir_scalar_values():
@@ -143,17 +149,13 @@ def test_casimir_scalar_values():
 
 def test_casimir_eigencheck_on_harmonics(cat):
     blk, space = simplicial_harmonics(6, 2, 0)
-    chk = casimir_eigencheck(cat, blk, space, HighestWeightSO(2))
-    assert chk
-    assert chk.expected == 12
-    bad = casimir_eigencheck(cat, blk, space, HighestWeightSO(1))
-    assert not bad
-    assert bad.offending
+    assert casimir_eigencheck(cat, blk, space, HighestWeightSO(2)) is None
+    assert casimir_eigencheck(cat, blk, space, HighestWeightSO(1))
 
 
 def test_casimir_eigencheck_on_simplicial(cat):
     blk, space = simplicial_harmonics(6, 2, 1, "z", "x")
-    assert casimir_eigencheck(cat, blk, space, HighestWeightSO(2, 1))
+    assert casimir_eigencheck(cat, blk, space, HighestWeightSO(2, 1)) is None
 
 
 def test_casimir_eigencheck_with_scaled_casimir(cat, monkeypatch):
@@ -162,23 +164,22 @@ def test_casimir_eigencheck_with_scaled_casimir(cat, monkeypatch):
     halved = dict(cat)
     halved["Casimir"] = op_scale(cat["Casimir"], QQ(1, 2))
     bad = casimir_eigencheck(halved, blk, space, w)
-    assert not bad and bad.expected == 15
-    assert bad.offending == vec_to_poly(space.rows[0], blk)
+    assert bad == vec_to_poly(space.rows[0], blk)
     # the witness is an eigenvector of the halved Casimir, for 15/2
-    assert apply_op(halved["Casimir"], bad.offending) == poly_scale(bad.offending, QQ(15, 2))
-    assert casimir_eigencheck(cat, blk, space, w)
+    assert apply_op(halved["Casimir"], bad) == poly_scale(bad, QQ(15, 2))
+    assert casimir_eigencheck(cat, blk, space, w) is None
     # a scalar with a denominator: expecting 15/2 makes the halved one pass
     monkeypatch.setattr(repn, "casimir_scalar", lambda m, weight: QQ(15, 2))
-    assert casimir_eigencheck(halved, blk, space, w)
-    assert not casimir_eigencheck(cat, blk, space, w)
+    assert casimir_eigencheck(halved, blk, space, w) is None
+    assert casimir_eigencheck(cat, blk, space, w)
     monkeypatch.undo()
     # a Casimir with denominators can still pass: 5/3 * 12 is the scalar 20 of (2,2)
     blk2, space2 = simplicial_harmonics(6, 2, 0)
     scaled = dict(cat)
     scaled["Casimir"] = op_scale(cat["Casimir"], QQ(5, 3))
-    assert casimir_eigencheck(scaled, blk2, space2, HighestWeightSO(2, 2))
-    assert not casimir_eigencheck(scaled, blk2, space2, HighestWeightSO(2))
-    assert casimir_eigencheck(cat, blk2, space2, HighestWeightSO(2))
+    assert casimir_eigencheck(scaled, blk2, space2, HighestWeightSO(2, 2)) is None
+    assert casimir_eigencheck(scaled, blk2, space2, HighestWeightSO(2))
+    assert casimir_eigencheck(cat, blk2, space2, HighestWeightSO(2)) is None
 
 
 def test_dim_and_casimir_separate_weights():
@@ -250,12 +251,17 @@ def test_embedded_harmonics_live_in_z(cat):
 
 @pytest.mark.parametrize("m", [6, 7])
 def test_zonly_basis_is_the_z_part_of_eigenblock_0_a(m):
+    # harmonic_space's coordinates are those of eigenblock (0, a): every
+    # monomial of degree a in z, in canonical order
     from sympdirac.verify import Verifier
 
     ver = Verifier(m, {})
     for a in range(7):
-        assert [mono[2 * m:] for mono in ver.eigenblock(0, a).block.basis] == list(zonly_basis(m, a))
-        assert all(not any(mono[:2 * m]) for mono in ver.eigenblock(0, a).block.basis)
+        basis = ver.eigenblock(0, a).basis
+        assert simplicial_harmonics(m, a, 0)[0].basis == basis
+        assert len(basis) == comb(a + m - 1, m - 1)
+        assert all(not any(mono[:2 * m]) and sum(mono) == a for mono in basis)
+        assert list(basis) == sorted(basis, key=monomial_sort_key)
 
 
 def test_verma_label_describe_negative():

@@ -36,19 +36,18 @@ def ver():
 
 def test_eigenblock_tri_degrees(ver):
     eb = ver.eigenblock(1, 1)
-    assert set(eb.block.tri_degrees) == {TriDegree(1, 0, 2), TriDegree(0, 1, 0)}
-    assert eb.alpha == QQ(M, 2) + 1
+    assert set(eb.tri_degrees) == {TriDegree(1, 0, 2), TriDegree(0, 1, 0)}
     eb0 = ver.eigenblock(0, 2)
-    assert set(eb0.block.tri_degrees) == {TriDegree(0, 0, 2)}
+    assert set(eb0.tri_degrees) == {TriDegree(0, 0, 2)}
 
 
 def test_eigenblock_boundary_levels(ver):
     # at t = -1 only the x side survives, below that nothing does
     eb = ver.eigenblock(1, -1)
-    assert set(eb.block.tri_degrees) == {TriDegree(1, 0, 0)}
-    assert eb.block.dim == M
-    assert ver.eigenblock(1, -3).block.dim == 0
-    assert ver.eigenblock(0, -1).block.dim == 0
+    assert set(eb.tri_degrees) == {TriDegree(1, 0, 0)}
+    assert eb.dim == M
+    assert ver.eigenblock(1, -3).dim == 0
+    assert ver.eigenblock(0, -1).dim == 0
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
@@ -118,7 +117,7 @@ def test_split_constant_extensionally(ver):
     # D_s C_xz H = alpha H with alpha = (-(2a+m-4)(m+a-1)+2(a-1))/(2a+m-4)
     a = 2
     alpha = QQ(-(2 * a + M - 4) * (M + a - 1) + 2 * (a - 1), 2 * a + M - 4)
-    h = vec_to_poly(harmonic_space(M, a - 1).rows[0], ver.eigenblock(0, a - 1).block)
+    h = vec_to_poly(harmonic_space(M, a - 1).rows[0], ver.eigenblock(0, a - 1))
     got = apply_op(ver.cat["D_s"], apply_op(ver.cat["C_xz"], h))
     assert got == poly_scale(h, alpha)
 
@@ -167,8 +166,8 @@ def test_operators_shift_levels_as_predicted(ver, op, dk, dt):
     for k, t in ((1, 1), (1, 2), (0, 2)):
         eb = ver.eigenblock(k, t)
         target = ver.eigenblock(k + dk, t + dt)
-        allowed = set(target.block.tri_degrees)
-        for mono in eb.block.basis:
+        allowed = set(target.tri_degrees)
+        for mono in eb.basis:
             out = apply_op(ver.cat[op], {mono: QQ(1)})
             for omono in out:
                 assert tri_degree_of(omono) in allowed
